@@ -16,12 +16,22 @@ from pathlib import Path
 import numpy as np
 
 from .illposed import ExperimentPlan, run_sweep, verify_lemma
-from .io import ConfigError, config_hash, read_config, read_field, write_csv, write_field, write_json, write_trajectory
+from .io import (
+    ConfigError,
+    SnapshotError,
+    config_hash,
+    read_config,
+    read_field,
+    write_csv,
+    write_field,
+    write_json,
+    write_trajectory,
+)
 from .norms import fourier_lebesgue_norm, modulation_norm, sobolev_norm
 from .probes import run_probe_suite
 from .solitons import SolitonParams, soliton_field
-from .solver import MassDriftError, SolverConfig, SolverError, evolve_recorded, invariants
-from .spectral import Field, GridSpec, ResolutionError, SpectralField, inverse_transform
+from .solver import SolverConfig, evolve_recorded, invariants
+from .spectral import Field, GridSpec, SpectralField, inverse_transform
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -317,7 +327,13 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ResolutionError, SolverError, MassDriftError, ValueError) as exc:
+    except SnapshotError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except (RuntimeError, ValueError) as exc:
+        # numerical failures (solver guards, quadrature non-convergence,
+        # grid/quadrature disagreement, calibration mismatch) and rejected
+        # parameters such as ResolutionError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,6 +21,7 @@ from .spectral import Field, GridSpec
 
 __all__ = [
     "ConfigError",
+    "SnapshotError",
     "read_config",
     "config_hash",
     "write_csv",
@@ -37,6 +38,10 @@ _TRAJ_MAGIC = b"MKDVTRJ1"
 
 class ConfigError(ValueError):
     """Malformed or missing configuration."""
+
+
+class SnapshotError(ValueError):
+    """A binary snapshot file is malformed or truncated; the message names it."""
 
 
 def read_config(path: str | Path) -> dict[str, str]:
@@ -117,15 +122,30 @@ def write_field(path: str | Path, field: Field) -> None:
         fh.write(np.ascontiguousarray(field.values, dtype="<c16").tobytes())
 
 
+def _read_exact(fh, path, size: int, what: str) -> bytes:
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise SnapshotError(f"{path}: truncated {what} ({len(raw)} of {size} bytes)")
+    return raw
+
+
+def _read_samples(fh, path, count: int) -> np.ndarray:
+    """The rest of the file as exactly ``count`` complex128 samples."""
+    raw = fh.read()
+    if count < 0 or len(raw) != 16 * count:
+        raise SnapshotError(
+            f"{path}: expected {count} samples ({16 * count} bytes), found {len(raw)} bytes"
+        )
+    return np.frombuffer(raw, dtype="<c16")
+
+
 def read_field(path: str | Path) -> Field:
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _FIELD_MAGIC:
-            raise ValueError(f"{path}: not a field snapshot (bad magic {magic!r})")
-        length, points = struct.unpack("<dq", fh.read(16))
-        data = np.frombuffer(fh.read(), dtype="<c16")
-    if data.shape != (points,):
-        raise ValueError(f"{path}: expected {points} samples, found {data.shape[0]}")
+            raise SnapshotError(f"{path}: not a field snapshot (bad magic {magic!r})")
+        length, points = struct.unpack("<dq", _read_exact(fh, path, 16, "field header"))
+        data = _read_samples(fh, path, points)
     return Field(GridSpec(length=length, points=points), data.astype(np.complex128))
 
 
@@ -155,10 +175,11 @@ def read_trajectory(path: str | Path) -> tuple[SpaceTimeField, float, int]:
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _TRAJ_MAGIC:
-            raise ValueError(f"{path}: not a trajectory snapshot (bad magic {magic!r})")
-        length, points, k, dt, sign = struct.unpack("<dqqdb", fh.read(33))
-        (t_window,) = struct.unpack("<d", fh.read(8))
-        data = np.frombuffer(fh.read(), dtype="<c16")
+            raise SnapshotError(f"{path}: not a trajectory snapshot (bad magic {magic!r})")
+        length, points, k, dt, sign, t_window = struct.unpack(
+            "<dqqdbd", _read_exact(fh, path, 41, "trajectory header")
+        )
+        data = _read_samples(fh, path, k * points if min(k, points) >= 0 else -1)
     samples = data.reshape(k, points).astype(np.complex128)
     traj = SpaceTimeField(GridSpec(length=length, points=points), t_window, samples)
     return traj, dt, sign

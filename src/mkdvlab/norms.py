@@ -79,6 +79,20 @@ def _lp(values: np.ndarray, p: float) -> float:
     return peak * float(np.sum((values / peak) ** p) ** (1.0 / p))
 
 
+def _scaled_squares(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(|a| 2^-e)^2 and e, with e the binary exponent of max|a|.
+
+    Squares of tiny or huge moduli under- or overflow; scaling by a power of
+    two first avoids that and is exact, so for moduli whose squares are
+    normal numbers the result times 4^e equals |a|^2 bit for bit.
+    """
+    mod = np.abs(a)
+    # clamped so that 2^-e stays finite for a subnormal peak
+    e = max(math.frexp(float(np.max(mod)) if mod.size else 0.0)[1], -1021)
+    np.multiply(mod, math.ldexp(1.0, -e), out=mod)
+    return np.square(mod, out=mod), e
+
+
 def _jap(a: np.ndarray | float) -> np.ndarray | float:
     """Japanese bracket <a> = (1 + a^2)^(1/2)."""
     return np.sqrt(1.0 + np.asarray(a, dtype=float) ** 2)
@@ -88,8 +102,9 @@ def sobolev_norm(f: Field, s: float) -> float:
     """H^s norm from the weighted spectral sum."""
     F = forward_transform(f)
     xi = f.grid.xi
-    total = np.sum(_jap(xi) ** (2.0 * s) * np.abs(F.coefficients) ** 2)
-    return float(np.sqrt(total * f.grid.dxi / TWO_PI))
+    a2, e = _scaled_squares(F.coefficients)
+    total = np.sum(_jap(xi) ** (2.0 * s) * a2)
+    return math.ldexp(float(np.sqrt(total * f.grid.dxi / TWO_PI)), e)
 
 
 def fourier_lebesgue_norm(f: Field, s: float, p: float) -> float:
@@ -114,7 +129,7 @@ def cube_l2_profile(f: Field, window=cos2_window) -> tuple[np.ndarray, np.ndarra
     g = f.grid
     F = forward_transform(f)
     xi = g.xi
-    a2 = np.abs(F.coefficients) ** 2
+    a2, e = _scaled_squares(F.coefficients)
     total = float(np.sum(a2))
     n_max = int(np.floor(g.xi_max - 1.0))
     if n_max < 1:
@@ -137,7 +152,7 @@ def cube_l2_profile(f: Field, window=cos2_window) -> tuple[np.ndarray, np.ndarra
         sel = (n_tgt >= -n_max) & (n_tgt <= n_max)
         np.add.at(masses2, n_tgt[sel] + n_max, w2[sel])
     masses2 *= g.dxi / TWO_PI
-    return n_values, np.sqrt(masses2)
+    return n_values, np.ldexp(np.sqrt(masses2), e)
 
 
 def modulation_norm(f: Field, s: float, p: float, window=cos2_window) -> float:

@@ -20,6 +20,15 @@ Conserved along the flow (and monitored): mass int |u|^2 dx and momentum
 int Im(conj(u) d_x u) dx; both conservation laws hold for any cubic
 coefficient (integration by parts), so momentum serves as a second drift
 monitor rather than a mere diagnostic.
+
+One evolution owns one ``_Workspace``, which allocates its padded and
+physical buffers, RK4 stage buffers and step constants once; the time loop
+then writes into them through ``out=`` arguments, and each ``nonlin`` call
+returns a fresh array because the four stage derivatives are alive together.
+The arithmetic is the plain RK4 expression evaluated in its original order,
+so results are bit-identical to evaluating it with temporaries.  The FFTs are
+``np.fft`` (``out=`` needs numpy >= 2.0), not scipy.fft, which the package
+does not import at load time.
 """
 
 from __future__ import annotations
@@ -73,15 +82,34 @@ class SolverConfig:
 
 
 class _Workspace:
-    """Precomputed multipliers and padded buffers for one (grid, dt, sign)."""
+    """Multipliers, constants and scratch buffers for one (grid, dt, sign).
+
+    Everything is allocated once here, so a steady-state RK4 step allocates
+    only the four M-length stage derivatives (k1..k4 are alive together):
+
+    * ``_pad``: (2, P) zero-padded coefficients, row 0 = a, row 1 = i xi a.
+      Only the two outer halves are ever written; the middle keeps the zeros
+      (and the exact signed zeros of ``i xi * 0``) set here.
+    * ``_u``, ``_ux``: P-length physical u and u_x; ``_w``: the P-length
+      product |u|^2 u_x, also used as the inverse-transform scratch.
+    * ``_abs2``: real P-length |u|^2.
+    * ``_s1``, ``_s2``: M-length RK4 stage inputs.
+
+    Every array expression of the plain allocating scheme is kept with its
+    operand order and unfolded scalars, and ``out=`` always names a buffer
+    that is not an input of the product, so the results are bit-identical to
+    it.  Transforms are ``np.fft`` with ``out=``: importing scipy.fft would
+    add set-up time and resident memory to every run of the package.
+    """
 
     def __init__(self, grid: GridSpec, dt: float, sign: int):
         self.grid = grid
         self.dt = dt
-        self.sign = sign
         m = grid.points
         self.m = m
         self.pad = 3 * m // 2
+        self.scale = self.pad / m
+        self.coef = -sign * NONLINEAR_COEFFICIENT
         xi = grid.xi
         self.exp_half = np.exp(1j * xi**3 * (dt / 2.0))
         self.exp_full = self.exp_half**2
@@ -89,30 +117,52 @@ class _Workspace:
         k_keep = m // 3
         signed_k = np.fft.fftfreq(m, d=1.0 / m)
         self.band_mask = np.abs(signed_k) <= k_keep
+        self._dropped = slice(k_keep + 1, m - k_keep)
         self.xi_band_max = grid.dxi * k_keep
-        self.xi_pad = 2.0 * np.pi * np.fft.fftfreq(self.pad, d=grid.length / self.pad)
+        xi_pad = 2.0 * np.pi * np.fft.fftfreq(self.pad, d=grid.length / self.pad)
+        self.ixi_pad = 1j * xi_pad
         self.last_max_abs2 = 0.0
 
-    def _pad_coeff(self, a: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.pad, dtype=np.complex128)
-        half = self.m // 2
-        out[:half] = a[:half]
-        out[-half:] = a[half:]
-        return out
+        self._pad = np.zeros((2, self.pad), dtype=np.complex128)
+        self._pad[1] = self.ixi_pad * self._pad[0]
+        self._u = np.empty(self.pad, dtype=np.complex128)
+        self._ux = np.empty(self.pad, dtype=np.complex128)
+        self._w = np.empty(self.pad, dtype=np.complex128)
+        self._abs2 = np.empty(self.pad, dtype=np.float64)
+        self._s1 = np.empty(m, dtype=np.complex128)
+        self._s2 = np.empty(m, dtype=np.complex128)
+
+        self.half_dt = 0.5 * dt
+        self.dt_exp_half = dt * self.exp_half
+        self.two_exp_half = 2.0 * self.exp_half
+        self.dt_sixth = dt / 6.0
 
     def nonlin(self, a: np.ndarray) -> np.ndarray:
-        """Spectral-in, spectral-out cubic term -sign * C * |u|^2 u_x, dealiased."""
-        scale = self.pad / self.m
-        ap = self._pad_coeff(a)
-        u = np.fft.ifft(ap) * scale
-        ux = np.fft.ifft(1j * self.xi_pad * ap) * scale
-        abs2 = np.abs(u) ** 2
-        self.last_max_abs2 = float(np.max(abs2))
-        w = (-self.sign * NONLINEAR_COEFFICIENT) * abs2 * ux
-        wp = np.fft.fft(w) / scale
+        """Spectral-in, spectral-out cubic term -sign * C * |u|^2 u_x, dealiased.
+
+        Returns a fresh M-length array; ``a`` is only read.
+        """
         half = self.m // 2
-        out = np.concatenate([wp[:half], wp[-half:]])
-        out[~self.band_mask] = 0.0
+        ap, iap = self._pad
+        u, ux, w, abs2 = self._u, self._ux, self._w, self._abs2
+        ap[:half] = a[:half]
+        ap[-half:] = a[half:]
+        np.multiply(self.ixi_pad[:half], ap[:half], out=iap[:half])
+        np.multiply(self.ixi_pad[-half:], ap[-half:], out=iap[-half:])
+        np.fft.ifft(ap, out=w)
+        np.multiply(w, self.scale, out=u)
+        np.fft.ifft(iap, out=w)
+        np.multiply(w, self.scale, out=ux)
+        np.abs(u, out=abs2)
+        np.square(abs2, out=abs2)
+        self.last_max_abs2 = float(np.max(abs2))
+        np.multiply(self.coef, abs2, out=abs2)
+        np.multiply(abs2, ux, out=w)
+        np.fft.fft(w, out=w)
+        out = np.empty(self.m, dtype=np.complex128)
+        np.divide(w[:half], self.scale, out=out[:half])
+        np.divide(w[-half:], self.scale, out=out[half:])
+        out[self._dropped] = 0.0
         return out
 
     def cfl_check(self) -> None:
@@ -125,14 +175,38 @@ class _Workspace:
             )
 
     def rk4(self, a: np.ndarray, check_cfl: bool) -> np.ndarray:
-        e, e2, h = self.exp_half, self.exp_full, self.dt
+        """One step; returns a fresh array, ``a`` is only read.
+
+        Stage inputs, in the order of the plain scheme:
+        k2 <- e (a + h/2 k1),  k3 <- e a + h/2 k2,  k4 <- e^2 a + h e k3,
+        a' = e^2 a + h/6 (e^2 k1 + 2 e (k2 + k3) + k4).
+        """
+        e, e2 = self.exp_half, self.exp_full
+        s1, s2 = self._s1, self._s2
         k1 = self.nonlin(a)
         if check_cfl:
             self.cfl_check()
-        k2 = self.nonlin(e * (a + 0.5 * h * k1))
-        k3 = self.nonlin(e * a + 0.5 * h * k2)
-        k4 = self.nonlin(e2 * a + h * e * k3)
-        return e2 * a + (h / 6.0) * (e2 * k1 + 2.0 * e * (k2 + k3) + k4)
+        np.multiply(self.half_dt, k1, out=s1)
+        np.add(a, s1, out=s1)
+        np.multiply(e, s1, out=s2)
+        k2 = self.nonlin(s2)
+        np.multiply(e, a, out=s1)
+        np.multiply(self.half_dt, k2, out=s2)
+        np.add(s1, s2, out=s1)
+        k3 = self.nonlin(s1)
+        np.multiply(e2, a, out=s1)
+        np.multiply(self.dt_exp_half, k3, out=s2)
+        np.add(s1, s2, out=s1)
+        k4 = self.nonlin(s1)
+        np.multiply(e2, k1, out=s1)
+        np.add(k2, k3, out=k2)
+        np.multiply(self.two_exp_half, k2, out=s2)
+        np.add(s1, s2, out=s1)
+        np.add(s1, k4, out=s1)
+        np.multiply(self.dt_sixth, s1, out=k1)
+        np.multiply(e2, a, out=k4)
+        np.add(k4, k1, out=k4)
+        return k4
 
 
 def nonlinearity(f: Field, sign: int = 1) -> Field:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from mkdvlab.cli import main
+from mkdvlab import solitons
 from mkdvlab.io import (
     ConfigError,
+    SnapshotError,
     config_hash,
     read_config,
     read_field,
@@ -74,6 +76,31 @@ class TestSnapshots:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTMAGIC" + b"\0" * 64)
         with pytest.raises(ValueError, match="magic"):
+            read_field(path)
+
+    def test_truncated_field_names_file(self, tmp_path):
+        grid = GridSpec(length=64.0, points=128)
+        path = tmp_path / "f.bin"
+        write_field(path, Field.zero(grid))
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(SnapshotError, match="f.bin: truncated field header"):
+            read_field(path)
+
+    def test_truncated_trajectory_names_file(self, tmp_path):
+        grid = GridSpec(length=64.0, points=128)
+        traj = SpaceTimeField(grid, 0.5, np.zeros((4, 128), dtype=complex))
+        path = tmp_path / "t.bin"
+        write_trajectory(path, traj, dt=1e-3, sign=1)
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(SnapshotError, match="t.bin: truncated trajectory header"):
+            read_trajectory(path)
+
+    def test_short_sample_block_rejected(self, tmp_path):
+        grid = GridSpec(length=64.0, points=128)
+        path = tmp_path / "f.bin"
+        write_field(path, Field.zero(grid))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(SnapshotError, match="expected 128 samples"):
             read_field(path)
 
 
@@ -188,6 +215,22 @@ class TestCliIllposed:
         rc = main(["illposed", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 0
 
+    def test_quadrature_failure_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
+        # weights that double with the order: successive rules never agree
+        real = solitons._leggauss
+
+        def diverging(order):
+            nodes, weights = real(order)
+            return nodes, weights * order
+
+        monkeypatch.setattr(solitons, "_leggauss", diverging)
+        cfg = self.make_cfg(tmp_path)
+        rc = main(["illposed", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cube quadrature failed to converge")
+        assert err.count("\n") == 1
+
 
 class TestCliProbe:
     def test_resonance_probe(self, tmp_path):
@@ -234,3 +277,15 @@ class TestCliNorms:
         doc = json.loads((out / "norms.json").read_text())
         assert doc["sobolev"] == pytest.approx(np.sqrt(2.0), rel=1e-8)
         assert doc["modulation"] <= doc["sobolev"] * 4.0
+
+    def test_truncated_field_exits_2_with_one_line(self, tmp_path, capsys):
+        grid = GridSpec(length=64.0, points=128)
+        path = tmp_path / "cut.bin"
+        write_field(path, Field.zero(grid))
+        path.write_bytes(path.read_bytes()[:20])
+        cfg = write_cfg(tmp_path, "n.cfg", f"field={path}\ns=0\np=2\n")
+        rc = main(["norms", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "cut.bin" in err
+        assert err.count("\n") == 1

@@ -139,6 +139,18 @@ class TestModulation:
                 c * modulation_norm(f, s, p), rel=1e-12
             )
 
+    @pytest.mark.parametrize("c", [3.35e-277j, 1e-200, 1e160])
+    def test_homogeneity_where_squares_leave_double_range(self, norm_corpus, c):
+        f = norm_corpus[0]
+        g = Field(f.grid, c * f.values)
+        for s, p in [(0.25, 2.0), (-0.125, 4.0), (0.0, INF)]:
+            assert modulation_norm(g, s, p) == pytest.approx(
+                abs(c) * modulation_norm(f, s, p), rel=1e-12, abs=0.0
+            )
+        assert sobolev_norm(g, 0.5) == pytest.approx(
+            abs(c) * sobolev_norm(f, 0.5), rel=1e-12, abs=0.0
+        )
+
     def test_translation_invariance(self, norm_corpus):
         f = norm_corpus[1]
         shift = 3.7

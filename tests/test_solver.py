@@ -5,9 +5,11 @@ import pytest
 
 from mkdvlab.solitons import SolitonParams, soliton_field, soliton_time_derivative
 from mkdvlab.solver import (
+    NONLINEAR_COEFFICIENT,
     MassDriftError,
     SolverConfig,
     SolverError,
+    _Workspace,
     evolve,
     evolve_final,
     invariants,
@@ -208,3 +210,102 @@ class TestScalingSymmetry:
 
         expected = Field(g2, u_t.values / lam)
         assert rel_l2_error(v_t, expected) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Reference scheme: the plain allocating expressions the workspace must match
+# bit for bit (same operations, same operand order, unfolded scalars)
+# ---------------------------------------------------------------------------
+
+def reference_nonlin(a, grid, sign):
+    m = grid.points
+    pad, half = 3 * m // 2, m // 2
+    scale = pad / m
+    ap = np.zeros(pad, dtype=np.complex128)
+    ap[:half] = a[:half]
+    ap[-half:] = a[half:]
+    xi_pad = 2.0 * np.pi * np.fft.fftfreq(pad, d=grid.length / pad)
+    u = np.fft.ifft(ap) * scale
+    ux = np.fft.ifft(1j * xi_pad * ap) * scale
+    w = (-sign * NONLINEAR_COEFFICIENT) * np.abs(u) ** 2 * ux
+    wp = np.fft.fft(w) / scale
+    out = np.concatenate([wp[:half], wp[-half:]])
+    out[np.abs(np.fft.fftfreq(m, d=1.0 / m)) > m // 3] = 0.0
+    return out
+
+
+def reference_rk4(a, grid, dt, sign):
+    e = np.exp(1j * grid.xi**3 * (dt / 2.0))
+    e2, h = e**2, dt
+    k1 = reference_nonlin(a, grid, sign)
+    k2 = reference_nonlin(e * (a + 0.5 * h * k1), grid, sign)
+    k3 = reference_nonlin(e * a + 0.5 * h * k2, grid, sign)
+    k4 = reference_nonlin(e2 * a + h * e * k3, grid, sign)
+    return e2 * a + (h / 6.0) * (e2 * k1 + 2.0 * e * (k2 + k3) + k4)
+
+
+@pytest.fixture
+def small_grid():
+    return GridSpec(length=64.0, points=256)
+
+
+def white_noise_field(grid, seed, amplitude=0.1):
+    """Energy in every mode, including the |k| > M/3 band the solver discards."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(grid.points) + 1j * rng.standard_normal(grid.points)
+    return Field(grid, amplitude * z)
+
+
+class TestWorkspaceMatchesReference:
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rk4_and_evolve_bit_identical(self, small_grid, sign):
+        dt, n_steps = 1e-3, 20
+        f0 = small_random_field(small_grid, seed=21, amplitude=0.5)
+        ws = _Workspace(small_grid, dt, sign)
+        a0 = np.fft.fft(f0.values)
+        a0[~ws.band_mask] = 0.0
+        want = a0
+        got = a0.copy()
+        for _ in range(n_steps):
+            want = reference_rk4(want, small_grid, dt, sign)
+            got = ws.rk4(got, True)
+            assert np.array_equal(got, want)
+        final = evolve_final(f0, n_steps * dt, SolverConfig(dt=dt, sign=sign))
+        assert np.array_equal(final.values, np.fft.ifft(want))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_public_entry_points_on_full_spectrum_input(self, small_grid, sign):
+        # the whole spectrum, not just the retained band, goes into the padding
+        f = white_noise_field(small_grid, seed=4)
+        a = np.fft.fft(f.values)
+        assert np.array_equal(
+            nonlinearity(f, sign).values, np.fft.ifft(reference_nonlin(a, small_grid, sign))
+        )
+        dt = 1e-3
+        stepped = step(f, dt, SolverConfig(dt=dt, sign=sign))
+        assert np.array_equal(
+            stepped.values, np.fft.ifft(reference_rk4(a, small_grid, dt, sign))
+        )
+
+    def test_nonlin_returns_fresh_arrays(self, small_grid):
+        ws = _Workspace(small_grid, 1e-3, 1)
+        a = np.fft.fft(white_noise_field(small_grid, seed=5).values)
+        b = np.fft.fft(white_noise_field(small_grid, seed=6).values)
+        first = ws.nonlin(a)
+        second = ws.nonlin(b)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, reference_nonlin(a, small_grid, 1))
+        assert np.array_equal(second, reference_nonlin(b, small_grid, 1))
+
+    def test_workspace_reuse_repeats_runs(self, small_grid):
+        ws = _Workspace(small_grid, 1e-3, -1)
+        a0 = np.fft.fft(small_random_field(small_grid, seed=8, amplitude=0.5).values)
+        a0[~ws.band_mask] = 0.0
+        runs = []
+        for _ in range(2):
+            a = a0
+            for _ in range(20):
+                a = ws.rk4(a, True)
+            runs.append(a)
+        assert np.array_equal(runs[0], runs[1])
+        assert not np.shares_memory(runs[0], runs[1])
