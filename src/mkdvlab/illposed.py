@@ -189,14 +189,21 @@ def plan_grid(
     cube_margin: float,
     max_points_log2: int = 23,
     for_solver: bool = False,
+    xi_bottom: float | None = None,
 ) -> GridSpec:
     """Auto-size a grid that resolves the pair: tails, separation, and spectra.
 
     xi_top: largest carrier (plus frequency offset) to resolve;
     separation_x: physical distance between the two soliton centers at time T
     (the spectral cross term oscillates at this rate, so dxi must undercut it);
-    cube_margin: how many cubes beyond the carrier the norms need.
+    cube_margin: how many cubes beyond the carrier the norms need;
+    xi_bottom: lowest carrier to resolve; the grid covers [xi_bottom, xi_top]
+    (plus margins) centred at the even lattice point nearest the middle, so
+    the point count follows the width of the pair's spectra, not the carrier.
+    None means -xi_top, the symmetric band |xi| <= xi_top on an offset-0 grid.
     """
+    if xi_bottom is None:
+        xi_bottom = -xi_top
     tail_len = 45.0 / lam
     length0 = max(
         16.0 * np.pi + 0.5,      # dxi <= 1/8
@@ -205,7 +212,10 @@ def plan_grid(
         2.0 * separation_x + 2.0 * tail_len + 16.0,
     )
     length = 2.0 ** math.ceil(math.log2(length0))
-    xi_need = xi_top + cube_margin + 24.0 * lam + 2.0
+    dxi = 2.0 * np.pi / length
+    offset = 2 * round((xi_bottom + xi_top) / (4.0 * dxi))
+    xi0 = offset * dxi
+    xi_need = max(xi_top - xi0, xi0 - xi_bottom) + cube_margin + 24.0 * lam + 2.0
     factor = 2.0 if for_solver else 1.3  # solver needs dealias-band headroom
     points = 2 ** math.ceil(math.log2(length * factor * xi_need / np.pi))
     if points > 2**max_points_log2:
@@ -213,9 +223,9 @@ def plan_grid(
         raise ResolutionError(
             f"grid sizing infeasible: {points} points needed "
             f"(cap 2^{max_points_log2}); with this box the feasible carrier "
-            f"cap is about {cap:.3g}"
+            f"cap, as a distance from the band centre {xi0:.6g}, is about {cap:.3g}"
         )
-    return GridSpec(length=length, points=points)
+    return GridSpec(length=length, points=points, offset=offset)
 
 
 def _solver_cross_check(params: SolitonParams, t_final: float, grid: GridSpec) -> float:
@@ -273,15 +283,17 @@ def run_point(plan: ExperimentPlan, n: float) -> ExperimentRecord:
     if plan.grid_check or solver_here:
         separation = 3.0 * abs(pb.carrier**2 - pa.carrier**2) * plan.t_final
         cube_margin = max(n**th, 4.0)
-        grid = plan_grid(
-            lam,
-            max(pa.carrier, pb.carrier),
-            separation,
-            cube_margin,
-            plan.max_points_log2,
-            for_solver=solver_here,
-        )
+        xi_top = max(pa.carrier, pb.carrier)
         if plan.grid_check:
+            # the pair's spectra only: a grid centred between the carriers
+            grid = plan_grid(
+                lam,
+                xi_top,
+                separation,
+                cube_margin,
+                plan.max_points_log2,
+                xi_bottom=min(pa.carrier, pb.carrier),
+            )
             ua0 = soliton_field(pa, 0.0, grid)
             ub0 = soliton_field(pb, 0.0, grid)
             uat = soliton_field(pa, plan.t_final, grid)
@@ -300,6 +312,10 @@ def run_point(plan: ExperimentPlan, n: float) -> ExperimentRecord:
                         f"{got!r} vs {want!r}"
                     )
         if solver_here:
+            # the solver runs on offset-0 grids only, so it gets |xi| <= xi_top
+            grid = plan_grid(
+                lam, xi_top, separation, cube_margin, plan.max_points_log2, for_solver=True
+            )
             solver_error = _solver_cross_check(pa, plan.t_final, grid)
             if solver_error > 1e-4:
                 raise RuntimeError(

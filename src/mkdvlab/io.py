@@ -11,13 +11,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .norms import SpaceTimeField
-from .spectral import Field, GridSpec
+from .spectral import Field, GridSpec, require_zero_offset
 
 __all__ = [
     "ConfigError",
@@ -49,8 +50,12 @@ def read_config(path: str | Path) -> dict[str, str]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
+    try:
+        text = p.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -114,6 +119,7 @@ def write_json(path: str | Path, payload: dict, meta: dict | None = None) -> Non
 
 def write_field(path: str | Path, field: Field) -> None:
     """One spatial snapshot: magic, L (f8), M (i8), then complex128 samples."""
+    require_zero_offset(field.grid, "write_field (the snapshot header has no offset)")
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     with open(p, "wb") as fh:
@@ -146,13 +152,17 @@ def read_field(path: str | Path) -> Field:
             raise SnapshotError(f"{path}: not a field snapshot (bad magic {magic!r})")
         length, points = struct.unpack("<dq", _read_exact(fh, path, 16, "field header"))
         data = _read_samples(fh, path, points)
-    return Field(GridSpec(length=length, points=points), data.astype(np.complex128))
+    try:
+        return Field(GridSpec(length=length, points=points), data.astype(np.complex128))
+    except ValueError as exc:
+        raise SnapshotError(f"{path}: {exc}") from exc
 
 
 def write_trajectory(
     path: str | Path, traj: SpaceTimeField, dt: float, sign: int
 ) -> None:
     """Trajectory snapshot: magic, L (f8), M (i8), K (i8), dt (f8), sign (b)."""
+    require_zero_offset(traj.grid, "write_trajectory (the snapshot header has no offset)")
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     with open(p, "wb") as fh:
@@ -180,6 +190,13 @@ def read_trajectory(path: str | Path) -> tuple[SpaceTimeField, float, int]:
             "<dqqdbd", _read_exact(fh, path, 41, "trajectory header")
         )
         data = _read_samples(fh, path, k * points if min(k, points) >= 0 else -1)
+    if not (math.isfinite(dt) and dt != 0.0) or sign not in (-1, 1):
+        raise SnapshotError(
+            f"{path}: header needs a finite nonzero dt and sign +-1, got dt={dt!r}, sign={sign}"
+        )
     samples = data.reshape(k, points).astype(np.complex128)
-    traj = SpaceTimeField(GridSpec(length=length, points=points), t_window, samples)
+    try:
+        traj = SpaceTimeField(GridSpec(length=length, points=points), t_window, samples)
+    except ValueError as exc:
+        raise SnapshotError(f"{path}: {exc}") from exc
     return traj, dt, sign

@@ -31,6 +31,7 @@ from .spectral import (
     Field,
     GridSpec,
     ResolutionError,
+    _scaled_squares,
     cos2_window,
     forward_transform,
 )
@@ -79,20 +80,6 @@ def _lp(values: np.ndarray, p: float) -> float:
     return peak * float(np.sum((values / peak) ** p) ** (1.0 / p))
 
 
-def _scaled_squares(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """(|a| 2^-e)^2 and e, with e the binary exponent of max|a|.
-
-    Squares of tiny or huge moduli under- or overflow; scaling by a power of
-    two first avoids that and is exact, so for moduli whose squares are
-    normal numbers the result times 4^e equals |a|^2 bit for bit.
-    """
-    mod = np.abs(a)
-    # clamped so that 2^-e stays finite for a subnormal peak
-    e = max(math.frexp(float(np.max(mod)) if mod.size else 0.0)[1], -1021)
-    np.multiply(mod, math.ldexp(1.0, -e), out=mod)
-    return np.square(mod, out=mod), e
-
-
 def _jap(a: np.ndarray | float) -> np.ndarray | float:
     """Japanese bracket <a> = (1 + a^2)^(1/2)."""
     return np.sqrt(1.0 + np.asarray(a, dtype=float) ** 2)
@@ -131,26 +118,28 @@ def cube_l2_profile(f: Field, window=cos2_window) -> tuple[np.ndarray, np.ndarra
     xi = g.xi
     a2, e = _scaled_squares(F.coefficients)
     total = float(np.sum(a2))
-    n_max = int(np.floor(g.xi_max - 1.0))
-    if n_max < 1:
+    # cubes n whose support [n - 1, n + 1] lies inside the resolved band
+    lo, hi = g.band
+    n_lo, n_hi = math.ceil(lo + 1.0), math.floor(hi - 1.0)
+    if n_hi <= n_lo:
         raise ResolutionError("grid too small to cover any unit cube")
     if total > 0.0:
-        outside = float(np.sum(a2[np.abs(xi) >= n_max]))
+        outside = float(np.sum(a2[(xi <= n_lo) | (xi >= n_hi)]))
         if outside > TAIL_TOL * total:
             raise ResolutionError(
-                f"spectral tail beyond the covered band |xi| < {n_max} holds "
-                f"{outside / total:.3e} of the mass (> {TAIL_TOL:.0e}); "
-                f"increase the resolved band above |xi| = {g.xi_max:.4g}"
+                f"spectral tail outside the covered band {n_lo} < xi < {n_hi} "
+                f"holds {outside / total:.3e} of the mass (> {TAIL_TOL:.0e}); "
+                f"widen the resolved band [{lo:.4g}, {hi:.4g}]"
             )
     # every xi lies in windows floor(xi) and floor(xi)+1
-    n_lo = np.floor(xi).astype(int)
-    n_values = np.arange(-n_max, n_max + 1)
+    n_floor = np.floor(xi).astype(int)
+    n_values = np.arange(n_lo, n_hi + 1)
     masses2 = np.zeros(n_values.size)
     for shift in (0, 1):
-        n_tgt = n_lo + shift
+        n_tgt = n_floor + shift
         w2 = window(xi - n_tgt) ** 2 * a2
-        sel = (n_tgt >= -n_max) & (n_tgt <= n_max)
-        np.add.at(masses2, n_tgt[sel] + n_max, w2[sel])
+        sel = (n_tgt >= n_lo) & (n_tgt <= n_hi)
+        np.add.at(masses2, n_tgt[sel] - n_lo, w2[sel])
     masses2 *= g.dxi / TWO_PI
     return n_values, np.ldexp(np.sqrt(masses2), e)
 
@@ -274,9 +263,11 @@ def xsb_norm(u: SpaceTimeField, s: float, b: float) -> float:
     xi = u.grid.xi
     w_xi = _jap(xi) ** (2.0 * s)
     w_tau = (1.0 + (tau[:, None] - xi[None, :] ** 3) ** 2) ** b
-    total = np.sum(w_xi[None, :] * w_tau * np.abs(st) ** 2)
+    a2, e = _scaled_squares(st)
+    # in place: one more (K, M) temporary would fault in fresh pages per call
+    total = np.sum(np.multiply(w_xi[None, :] * w_tau, a2, out=a2))
     dtau = TWO_PI / u.t_window
-    return float(np.sqrt(total * u.grid.dxi * dtau) / TWO_PI)
+    return math.ldexp(float(np.sqrt(total * u.grid.dxi * dtau) / TWO_PI), e)
 
 
 def xsb_p_norm(u: SpaceTimeField, s: float, b: float, p: float) -> float:
@@ -292,9 +283,10 @@ def xsb_p_norm(u: SpaceTimeField, s: float, b: float, p: float) -> float:
     xi = u.grid.xi
     w_tau = (1.0 + (tau[:, None] - xi[None, :] ** 3) ** 2) ** b
     dtau = TWO_PI / u.t_window
-    col = np.sum(w_tau * np.abs(st) ** 2, axis=0) * u.grid.dxi * dtau / TWO_PI**2
+    a2, e = _scaled_squares(st)
+    col = np.sum(np.multiply(w_tau, a2, out=a2), axis=0) * u.grid.dxi * dtau / TWO_PI**2
     cubes = np.floor(xi).astype(int)
     n_values = np.arange(cubes.min(), cubes.max() + 1)
     block2 = np.zeros(n_values.size)
     np.add.at(block2, cubes - cubes.min(), col)
-    return _lp(_jap(n_values) ** s * np.sqrt(block2), p)
+    return math.ldexp(_lp(_jap(n_values) ** s * np.sqrt(block2), p), e)

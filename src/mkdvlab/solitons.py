@@ -19,7 +19,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import Field, GridSpec, ResolutionError, cos2_window, unit_cube_project
+from .spectral import (
+    TWO_PI,
+    Field,
+    GridSpec,
+    ResolutionError,
+    cos2_window,
+    unit_cube_project,
+)
 from .norms import _jap, _lp
 
 __all__ = [
@@ -84,20 +91,28 @@ def _check_realizable(params: SolitonParams, grid: GridSpec) -> None:
             f"domain too short: lam * L = {params.scale * grid.length:.3g} < 40, "
             "soliton tails would wrap above 1e-14"
         )
-    if params.carrier + 10.0 * params.scale > grid.xi_max:
+    lo, hi = grid.band
+    need_lo = params.carrier - 10.0 * params.scale
+    need_hi = params.carrier + 10.0 * params.scale
+    if need_lo < lo or need_hi > hi:
         raise ResolutionError(
-            f"unresolved carrier: need the band |xi| <= "
-            f"{params.carrier + 10 * params.scale:.4g}, grid resolves "
-            f"{grid.xi_max:.4g}"
+            f"unresolved carrier: need the band [{need_lo:.4g}, {need_hi:.4g}], "
+            f"grid resolves [{lo:.4g}, {hi:.4g}]"
         )
 
 
 def _wrapped_geometry(params: SolitonParams, t: float, grid: GridSpec):
-    """Profile argument and carrier phase of the periodized traveling soliton.
+    """Profile argument and heterodyned carrier phase of the periodized soliton.
 
     The whole-line solution is evaluated on the branch x' = x - jL whose
     profile argument lands in [-L/2, L/2); the carrier phase follows the same
-    branch so the periodization is exact up to the sub-1e-14 tails.
+    branch so the periodization is exact up to the sub-1e-14 tails.  On a grid
+    centred at xi0 the phase is that of exp(-i xi0 x) u: N x' - xi0 x =
+    (N - xi0) x' - xi0 j L, and xi0 j L = 2 pi offset j is dropped exactly.
+
+    The rotation (N^3 - 3 N lam^2) t reaches ~N^3; it is reduced modulo 2 pi
+    before the per-point phase is added, else rounding that sum in double
+    precision spreads broadband noise over the spectrum.
     """
     n, lam = params.carrier, params.scale
     x = grid.x
@@ -105,12 +120,16 @@ def _wrapped_geometry(params: SolitonParams, t: float, grid: GridSpec):
     raw = x + shift
     j = np.round(raw / grid.length)
     y = raw - j * grid.length
-    phase = (n**3 - 3.0 * n * lam**2) * t + n * (x - j * grid.length)
+    rotation = math.remainder((n**3 - 3.0 * n * lam**2) * t, TWO_PI)
+    phase = rotation + (n - grid.xi0) * (x - j * grid.length)
     return y, phase
 
 
 def soliton_field(params: SolitonParams, t: float, grid: GridSpec) -> Field:
-    """Exact solution sampled on the grid at time t (periodized modulo L)."""
+    """Exact solution sampled on the grid at time t (periodized modulo L).
+
+    On an offset grid the samples are those of exp(-i xi0 x) u.
+    """
     _check_realizable(params, grid)
     lam = params.scale
     y, phase = _wrapped_geometry(params, t, grid)

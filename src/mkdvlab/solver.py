@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .norms import SpaceTimeField
-from .spectral import Field, GridSpec
+from .spectral import Field, GridSpec, require_zero_offset
 
 __all__ = [
     "NONLINEAR_COEFFICIENT",
@@ -103,6 +103,7 @@ class _Workspace:
     """
 
     def __init__(self, grid: GridSpec, dt: float, sign: int):
+        require_zero_offset(grid, "the solver (its padded derivative and dealias band assume xi0 = 0)")
         self.grid = grid
         self.dt = dt
         m = grid.points

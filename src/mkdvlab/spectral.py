@@ -9,10 +9,24 @@ realized as the dx-weighted DFT, so that coefficients are grid-independent
 approximations of the continuum transform and Parseval reads
 
     sum_j |u(x_j)|^2 dx = (2 pi)^{-1} sum_k |u_hat(xi_k)|^2 dxi.
+
+A grid may be heterodyned: centred in frequency at xi0 = offset * dxi for an
+even integer offset.  A field on such a grid stores v(x_j) = exp(-i xi0 x_j)
+u(x_j), so its DFT coefficients approximate u_hat at the true frequencies
+xi_k = xi0 + 2 pi k / L, which is what ``GridSpec.xi`` returns.  Symbols,
+windows and weights evaluated at ``grid.xi`` therefore need no change, and
+a narrow band far from zero (a soliton pair at carrier N) costs points in
+proportion to its width, not to N.  Resolution checks measure the band
+relative to xi0 through ``GridSpec.band``.  Code built for xi0 = 0 (the
+solver's padded cubic term), products that leave the xi0 frame (the Riesz
+bilinear convolution), sampling a function of x (``Field.from_function``)
+and snapshot headers without an offset refuse offset grids with
+:class:`OffsetGridError`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +45,10 @@ class ResolutionError(ValueError):
     """The grid (or time window) cannot resolve the requested object."""
 
 
+class OffsetGridError(ValueError):
+    """An operation that cannot work in the xi0 frame was given an offset grid."""
+
+
 def _is_pow2(m: int) -> bool:
     return m >= 2 and (m & (m - 1)) == 0
 
@@ -39,17 +57,31 @@ def _is_pow2(m: int) -> bool:
 class GridSpec:
     """Uniform periodic grid on [-L/2, L/2) with M points (M a power of two).
 
-    The frequency lattice is xi_k = 2 pi k / L for k = -M/2 .. M/2 - 1, stored
-    in FFT order.  Construction enforces dxi <= 1/8 so every unit frequency
-    cube carries at least 8 lattice samples.
+    The frequency lattice is xi_k = xi0 + 2 pi k / L for k = -M/2 .. M/2 - 1,
+    stored in FFT order, with band centre xi0 = offset * dxi.  Construction
+    enforces dxi <= 1/8 so every unit frequency cube carries at least 8
+    lattice samples.
+
+    With offset != 0 the grid is heterodyned: fields store
+    exp(-i xi0 x) u(x), which is L-periodic because the offset is an integer.
+    The offset must also be even, so that exp(i xi_k L/2) = (-1)^k holds for
+    the true frequencies and the transform phase :meth:`_phase` stays (-1)^k.
     """
 
     length: float
     points: int
+    offset: int = 0
 
     def __post_init__(self) -> None:
-        if not self.length > 0:
-            raise ValueError(f"grid length must be positive, got {self.length}")
+        if not (self.length > 0 and math.isfinite(self.length)):
+            raise ValueError(f"grid length must be positive and finite, got {self.length}")
+        if (
+            isinstance(self.offset, bool)
+            or not isinstance(self.offset, (int, np.integer))
+            or self.offset % 2
+        ):
+            raise ValueError(f"grid offset must be an even integer, got {self.offset!r}")
+        object.__setattr__(self, "offset", int(self.offset))
         if not _is_pow2(self.points):
             raise ValueError(f"grid points must be a power of two, got {self.points}")
         if self.dxi > 0.125 + 1e-15:
@@ -77,19 +109,44 @@ class GridSpec:
         return self.xi_nyquist - self.dxi
 
     @property
+    def xi0(self) -> float:
+        """Band centre offset * dxi (0.0 on an ordinary grid)."""
+        return self.offset * self.dxi
+
+    @property
+    def band(self) -> tuple[float, float]:
+        """Resolved frequencies [xi0 - xi_max, xi0 + xi_max], symmetric about xi0."""
+        return self.xi0 - self.xi_max, self.xi0 + self.xi_max
+
+    @property
     def x(self) -> np.ndarray:
         return -0.5 * self.length + self.dx * np.arange(self.points)
 
     @property
     def xi(self) -> np.ndarray:
-        """Frequency lattice in FFT order."""
-        return TWO_PI * np.fft.fftfreq(self.points, d=self.dx)
+        """True frequency lattice xi0 + 2 pi k / L in FFT order."""
+        xi = TWO_PI * np.fft.fftfreq(self.points, d=self.dx)
+        return xi + self.xi0 if self.offset else xi
 
     def _phase(self) -> np.ndarray:
         # exp(+i xi_k L/2) = (-1)^k, accounting for the grid starting at -L/2
         ph = np.ones(self.points)
         ph[1::2] = -1.0
         return ph
+
+
+def _scaled_squares(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(|a| 2^-e)^2 and e, with e the binary exponent of max|a|.
+
+    Squares of tiny or huge moduli under- or overflow; scaling by a power of
+    two first avoids that and is exact, so for moduli whose squares are
+    normal numbers the result times 4^e equals |a|^2 bit for bit.
+    """
+    mod = np.abs(a)
+    # clamped so that 2^-e stays finite for a subnormal peak
+    e = max(math.frexp(float(np.max(mod)) if mod.size else 0.0)[1], -1021)
+    np.multiply(mod, math.ldexp(1.0, -e), out=mod)
+    return np.square(mod, out=mod), e
 
 
 def _freeze(values: np.ndarray) -> np.ndarray:
@@ -117,6 +174,7 @@ class Field:
 
     @classmethod
     def from_function(cls, grid: GridSpec, fn) -> "Field":
+        require_zero_offset(grid, "Field.from_function")
         return cls(grid, np.asarray(fn(grid.x), dtype=np.complex128))
 
     @classmethod
@@ -124,7 +182,8 @@ class Field:
         return cls(grid, np.zeros(grid.points, dtype=np.complex128))
 
     def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.dx))
+        a2, e = _scaled_squares(self.values)
+        return math.ldexp(float(np.sqrt(np.sum(a2) * self.grid.dx)), e)
 
     def inner(self, other: "Field") -> complex:
         """Discrete L^2 inner product <self, other> = sum self * conj(other) dx."""
@@ -151,6 +210,15 @@ class SpectralField:
 def require_same_grid(a, b) -> None:
     if a.grid != b.grid:
         raise GridMismatchError(f"grids differ: {a.grid} vs {b.grid}")
+
+
+def require_zero_offset(grid: GridSpec, what: str) -> None:
+    """Refuse an offset grid where ``what`` cannot work in the xi0 frame."""
+    if grid.offset:
+        raise OffsetGridError(
+            f"{what} needs an offset-0 grid, got offset {grid.offset} "
+            f"(xi0 = {grid.xi0:.6g})"
+        )
 
 
 def forward_transform(f: Field) -> SpectralField:
@@ -201,10 +269,9 @@ def littlewood_paley(f: Field, n_dyadic: float) -> Field:
     k = np.log2(n_dyadic)
     if n_dyadic < 1 or abs(k - round(k)) > 1e-12:
         raise ValueError(f"projector scale must be dyadic >= 1, got {n_dyadic}")
-    if n_dyadic > f.grid.xi_nyquist:
-        raise ResolutionError(
-            f"dyadic scale {n_dyadic} above Nyquist {f.grid.xi_nyquist:.4g}"
-        )
+    top = abs(f.grid.xi0) + f.grid.xi_nyquist
+    if n_dyadic > top:
+        raise ResolutionError(f"dyadic scale {n_dyadic} above the band edge {top:.4g}")
     F = forward_transform(f)
     coef = np.where(dyadic_mask(f.grid.xi, n_dyadic), F.coefficients, 0.0)
     return inverse_transform(SpectralField(f.grid, coef))
@@ -243,10 +310,11 @@ def quartic_window(u: np.ndarray) -> np.ndarray:
 def unit_cube_project(f: Field, n: int, window=cos2_window) -> Field:
     """Apply the unit-cube Fourier multiplier psi(xi - n)."""
     g = f.grid
-    if abs(n) + 1 > g.xi_max:
+    lo, hi = g.band
+    if n - 1 < lo or n + 1 > hi:
         raise ResolutionError(
-            f"cube n={n} needs the band |xi| <= {abs(n) + 1}, grid resolves "
-            f"|xi| <= {g.xi_max:.4g}"
+            f"cube n={n} needs the band [{n - 1}, {n + 1}], grid resolves "
+            f"[{lo:.4g}, {hi:.4g}]"
         )
     F = forward_transform(f)
     coef = window(g.xi - n) * F.coefficients
@@ -300,6 +368,7 @@ def riesz_bilinear(theta: float, f: Field, g: Field) -> Field:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
     require_same_grid(f, g)
     grid = f.grid
+    require_zero_offset(grid, "riesz_bilinear (its output band is centred at 2 xi0)")
     m = grid.points
     fh = forward_transform(f).coefficients
     gh = forward_transform(g).coefficients

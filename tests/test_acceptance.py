@@ -214,6 +214,32 @@ class TestCriterion4NonnegRegime:
         )
         assert ok
 
+    def test_4b_extended_range_grid_check(self):
+        # the two-pipeline twin of the reference above: every point of
+        # 2^10..2^14 is re-measured on a carrier-centred grid and must agree
+        # with the quadrature within agreement_tol
+        plan = ExperimentPlan(
+            s=0.125, p=4.0, t_final=1.0,
+            carriers=tuple(float(2**k) for k in range(10, 15)),
+            theta=0.125, grid_check=True,
+        )
+        assert plan.agreement_tol == 1e-4
+        records = run_sweep(plan)
+        fit = fit_exponent(records, "diff0")
+        worst = max(
+            abs(getattr(r, f"grid_{name}") - getattr(r, name)) / getattr(r, name)
+            for r in records
+            for name in ("norm_u", "diff0", "difft")
+        )
+        ok = abs(fit.slope - (-0.25)) <= 0.15 * 0.25
+        report(
+            "criterion 4b' grid twin (2^10..2^14, grid check)",
+            ok,
+            f"slope {fit.slope:+.4f}, worst grid/quadrature gap {worst:.1e}",
+        )
+        assert ok
+        assert worst <= plan.agreement_tol
+
     def test_4c_difft_floor_and_runtime(self, nonneg_sweep):
         plan, records, elapsed = nonneg_sweep
         verdict = verify_lemma(records, plan)

@@ -89,6 +89,20 @@ class TestPlanGrid:
         assert g.dxi <= 0.125
         assert g.xi_max > 1.3 * 16.25
 
+    def test_centred_grid_sizes_only_the_pair_band(self):
+        lam, n1, n2, margin = 0.125, 4096.0, 4096.0 + 4096.0**-0.5, 4.0
+        separation = 3.0 * (n2**2 - n1**2)
+        full = plan_grid(lam, n2, separation, margin)
+        g = plan_grid(lam, n2, separation, margin, xi_bottom=n1)
+        assert (full.offset, full.points, g.points) == (0, 2**22, 2**13)
+        assert g.length == full.length and g.offset % 2 == 0
+        assert abs(g.xi0 - 0.5 * (n1 + n2)) <= g.dxi
+        reach = margin + 24.0 * lam + 2.0
+        lo, hi = g.band
+        assert lo < n1 - 1.3 * reach and hi > n2 + 1.3 * reach
+        with pytest.raises(ResolutionError, match="feasible carrier cap"):
+            plan_grid(lam, n2, separation, margin, max_points_log2=12, xi_bottom=n1)
+
 
 class TestRunPoint:
     def test_identical_carriers_give_zero_difference(self):

@@ -1,6 +1,7 @@
 """Tests for config parsing, snapshot round-trips, and the CLI."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -93,6 +94,39 @@ class TestSnapshots:
         write_trajectory(path, traj, dt=1e-3, sign=1)
         path.write_bytes(path.read_bytes()[:20])
         with pytest.raises(SnapshotError, match="t.bin: truncated trajectory header"):
+            read_trajectory(path)
+
+    @pytest.mark.parametrize(
+        "length, points, nan_sample, message",
+        [
+            (1.0, 4, False, "exceeds 1/8"),
+            (64.0, 3, False, "power of two"),
+            (float("nan"), 4, False, "positive and finite"),
+            (64.0, 4, True, "non-finite"),
+        ],
+    )
+    def test_invalid_field_contents_name_file(self, tmp_path, length, points, nan_sample, message):
+        samples = np.zeros(points, dtype="<c16")
+        samples[-1] = complex("nan") if nan_sample else 0.0
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"MKDVFLD1" + struct.pack("<dq", length, points) + samples.tobytes())
+        with pytest.raises(SnapshotError, match=f"bad.bin: .*{message}"):
+            read_field(path)
+
+    @pytest.mark.parametrize(
+        "k, dt, sign, message",
+        [
+            (3, 1e-3, 1, "snapshot count must be a power of two"),
+            (2, float("nan"), 1, "finite nonzero dt"),
+            (2, 0.0, -1, "finite nonzero dt"),
+            (2, 1e-3, 77, "sign"),
+        ],
+    )
+    def test_invalid_trajectory_contents_name_file(self, tmp_path, k, dt, sign, message):
+        path = tmp_path / "bad.bin"
+        header = struct.pack("<dqqdbd", 64.0, 128, k, dt, sign, 0.5)
+        path.write_bytes(b"MKDVTRJ1" + header + bytes(16 * k * 128))
+        with pytest.raises(SnapshotError, match=f"bad.bin: .*{message}"):
             read_trajectory(path)
 
     def test_short_sample_block_rejected(self, tmp_path):
@@ -288,4 +322,14 @@ class TestCliNorms:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "cut.bin" in err
+        assert err.count("\n") == 1
+
+    def test_invalid_field_exits_2_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "coarse.bin"
+        path.write_bytes(b"MKDVFLD1" + struct.pack("<dq", 1.0, 4) + bytes(16 * 4))
+        cfg = write_cfg(tmp_path, "n.cfg", f"field={path}\ns=0\np=2\n")
+        rc = main(["norms", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "coarse.bin" in err
         assert err.count("\n") == 1

@@ -140,7 +140,7 @@ class TestModulation:
             )
 
     @pytest.mark.parametrize("c", [3.35e-277j, 1e-200, 1e160])
-    def test_homogeneity_where_squares_leave_double_range(self, norm_corpus, c):
+    def test_homogeneity_where_squares_leave_double_range(self, norm_corpus, st_corpus, c):
         f = norm_corpus[0]
         g = Field(f.grid, c * f.values)
         for s, p in [(0.25, 2.0), (-0.125, 4.0), (0.0, INF)]:
@@ -150,6 +150,16 @@ class TestModulation:
         assert sobolev_norm(g, 0.5) == pytest.approx(
             abs(c) * sobolev_norm(f, 0.5), rel=1e-12, abs=0.0
         )
+        assert g.l2_norm() == pytest.approx(abs(c) * f.l2_norm(), rel=1e-12, abs=0.0)
+        u = free_evolution(st_corpus[0], 1.0, 256)
+        v = u.scaled(c)
+        assert xsb_norm(v, 0.25, 0.5) == pytest.approx(
+            abs(c) * xsb_norm(u, 0.25, 0.5), rel=1e-12, abs=0.0
+        )
+        for p in (2.0, 4.0, INF):
+            assert xsb_p_norm(v, 0.25, 0.5, p) == pytest.approx(
+                abs(c) * xsb_p_norm(u, 0.25, 0.5, p), rel=1e-12, abs=0.0
+            )
 
     def test_translation_invariance(self, norm_corpus):
         f = norm_corpus[1]

@@ -1,9 +1,12 @@
-"""Hypothesis property tests for the structural invariants."""
+"""Hypothesis property tests for the structural invariants and the readers."""
+
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mkdvlab.io import ConfigError, SnapshotError, read_config, read_field, read_trajectory
 from mkdvlab.norms import modulation_norm, sobolev_norm
 from mkdvlab.probes import resonance_identity
 from mkdvlab.spectral import (
@@ -121,3 +124,83 @@ def test_riesz_bilinear_symmetric(seed, theta):
     gf = riesz_bilinear(theta, g, f)
     scale = max(np.max(np.abs(fg.values)), 1e-30)
     assert np.max(np.abs(fg.values - gf.values)) < 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# Readers: any byte string gives a parsed value or the reader's named error
+# ---------------------------------------------------------------------------
+
+small_ints = st.integers(min_value=-2, max_value=9)
+any_floats = st.floats(allow_nan=True, allow_infinity=True)
+samples = st.complex_numbers(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def _snapshot(draw, magic, header_fmt, header_values, count):
+    """Magic, header and a sample block whose size usually matches the header."""
+    values = draw(header_values)
+    n = draw(st.just(max(count(values), 0)) | st.integers(0, 40))
+    body = np.array(draw(st.lists(samples, min_size=n, max_size=n)), dtype="<c16")
+    return magic + struct.pack(header_fmt, *values) + body.tobytes()
+
+
+sizes = st.sampled_from([2, 3, 4, 8]) | small_ints
+field_bytes = st.binary(max_size=64) | _snapshot(
+    b"MKDVFLD1",
+    "<dq",
+    st.tuples(any_floats | st.sampled_from([1.0, 64.0]), sizes),
+    lambda v: v[1],
+)
+trajectory_bytes = st.binary(max_size=64) | _snapshot(
+    b"MKDVTRJ1",
+    "<dqqdbd",
+    st.tuples(
+        any_floats | st.just(64.0),
+        sizes,
+        sizes,
+        any_floats | st.just(1e-3),
+        st.sampled_from([1, -1]) | st.integers(-128, 127),
+        any_floats | st.just(0.5),
+    ),
+    lambda v: v[1] * v[2],
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(raw=st.binary(max_size=200) | st.text(max_size=100).map(str.encode))
+def test_read_config_gives_dict_or_config_error(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_bytes(raw)
+    try:
+        cfg = read_config(path)
+    except ConfigError as exc:
+        assert str(path) in str(exc)
+    else:
+        assert all(isinstance(k, str) and isinstance(v, str) for k, v in cfg.items())
+
+
+@settings(max_examples=50, deadline=None)
+@given(raw=field_bytes)
+def test_read_field_gives_field_or_snapshot_error(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz_field.bin"
+    path.write_bytes(raw)
+    try:
+        f = read_field(path)
+    except SnapshotError as exc:
+        assert str(path) in str(exc)
+    else:
+        assert f.values.shape == (f.grid.points,)
+
+
+@settings(max_examples=50, deadline=None)
+@given(raw=trajectory_bytes)
+def test_read_trajectory_gives_trajectory_or_snapshot_error(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz_trajectory.bin"
+    path.write_bytes(raw)
+    try:
+        traj, dt, sign = read_trajectory(path)
+    except SnapshotError as exc:
+        assert str(path) in str(exc)
+    else:
+        assert traj.samples.shape == (traj.n_times, traj.grid.points)
+        assert np.isfinite(dt) and dt != 0.0 and sign in (-1, 1)

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from mkdvlab.io import write_field, write_trajectory
+from mkdvlab.norms import SpaceTimeField, cube_l2_profile, modulation_norm
+from mkdvlab.solitons import SolitonParams, soliton_field
+from mkdvlab.solver import SolverConfig, evolve_final, nonlinearity, step
 from mkdvlab.spectral import (
     Field,
     GridSpec,
+    OffsetGridError,
     ResolutionError,
     SpectralField,
     airy_propagator,
@@ -413,3 +418,136 @@ class TestRieszBilinear:
         f = Field.zero(small_grid)
         with pytest.raises(ValueError):
             riesz_bilinear(0.0, f, f)
+
+
+def symmetric_cube_profile(f, window=cos2_window):
+    """The cube profile as computed before offset grids: cubes |n| <= xi_max - 1."""
+    g = f.grid
+    a2 = np.abs(forward_transform(f).coefficients) ** 2
+    xi = 2.0 * np.pi * np.fft.fftfreq(g.points, d=g.dx)
+    n_max = int(np.floor(g.xi_max - 1.0))
+    n_floor = np.floor(xi).astype(int)
+    masses2 = np.zeros(2 * n_max + 1)
+    for shift in (0, 1):
+        n_tgt = n_floor + shift
+        w2 = window(xi - n_tgt) ** 2 * a2
+        sel = (n_tgt >= -n_max) & (n_tgt <= n_max)
+        np.add.at(masses2, n_tgt[sel] + n_max, w2[sel])
+    masses2 *= g.dxi / (2.0 * np.pi)
+    return np.arange(-n_max, n_max + 1), np.sqrt(masses2)
+
+
+def unshifted_soliton(params, t, grid):
+    """The soliton samples as computed before offset grids (no phase reduction)."""
+    n, lam = params.carrier, params.scale
+    raw = grid.x + (3.0 * n**2 - lam**2) * t
+    j = np.round(raw / grid.length)
+    phase = (n**3 - 3.0 * n * lam**2) * t + n * (grid.x - j * grid.length)
+    return (lam / np.sqrt(6.0)) * np.exp(1j * phase) / np.cosh(lam * (raw - j * grid.length))
+
+
+class TestOffsetGrid:
+    """Heterodyned grids: fields store exp(-i xi0 x) u, xi0 = offset * dxi."""
+
+    pair = (40.0, 40.3)
+    scale = 0.5
+
+    @pytest.fixture(scope="class")
+    def grids(self):
+        full = GridSpec(length=256.0, points=8192)
+        offset = 2 * round(sum(self.pair) / 2 / (2 * full.dxi))
+        return full, GridSpec(length=256.0, points=1024, offset=offset)
+
+    def test_offset_zero_keeps_the_bits(self, small_grid):
+        g = small_grid
+        assert GridSpec(g.length, g.points, offset=0) == g
+        assert np.array_equal(g.xi, 2.0 * np.pi * np.fft.fftfreq(g.points, d=g.dx))
+        params = SolitonParams(carrier=6.0, scale=1.0)
+        u = soliton_field(params, 0.0, g)
+        assert np.array_equal(u.values, unshifted_soliton(params, 0.0, g))
+        for f in (u, gaussian_bump(g, width=1.5, carrier=-3.0, seed=4)):
+            n_ref, m_ref = symmetric_cube_profile(f)
+            n_values, masses = cube_l2_profile(f)
+            assert np.array_equal(n_values, n_ref)
+            assert np.array_equal(masses, m_ref)
+        # at t != 0 only the rounding of the reduced rotation differs
+        ut = soliton_field(params, 0.7, g)
+        assert np.max(np.abs(ut.values - unshifted_soliton(params, 0.7, g))) < 1e-13
+
+    def test_true_frequencies_and_band(self, grids):
+        _, g = grids
+        assert g.xi0 == g.offset * g.dxi
+        assert np.allclose(g.xi, g.xi0 + 2.0 * np.pi * np.fft.fftfreq(g.points, d=g.dx))
+        lo, hi = g.band
+        assert hi - g.xi0 == pytest.approx(g.xi_max) and g.xi0 - lo == pytest.approx(g.xi_max)
+        assert lo < self.pair[0] - 10 and hi > self.pair[1] + 10
+
+    @pytest.mark.parametrize("offset", [1, -3, 2.0, 2.5, "2", True, None])
+    def test_rejects_odd_or_non_integer_offsets(self, offset):
+        with pytest.raises(ValueError, match="even integer"):
+            GridSpec(length=64.0, points=256, offset=offset)
+
+    def test_grids_differing_only_in_offset_mismatch(self, small_grid):
+        shifted = GridSpec(small_grid.length, small_grid.points, offset=2)
+        with pytest.raises(ValueError, match="grids differ"):
+            Field.zero(small_grid).inner(Field.zero(shifted))
+
+    def test_pair_masses_and_norms_match_full_grid(self, grids):
+        full, centred = grids
+        pa, pb = (SolitonParams(carrier=n, scale=self.scale) for n in self.pair)
+        for t in (0.0, 1.0):
+            fields = []
+            for g in (full, centred):
+                ua, ub = soliton_field(pa, t, g), soliton_field(pb, t, g)
+                fields.append((ua, Field(g, ua.values - ub.values)))
+            for f_full, f_centred in zip(fields[0], fields[1]):
+                n_full, m_full = cube_l2_profile(f_full)
+                n_c, m_c = cube_l2_profile(f_centred)
+                common = np.isin(n_full, n_c)
+                assert np.allclose(
+                    m_c[np.isin(n_c, n_full)], m_full[common], rtol=0, atol=1e-12 * m_full.max()
+                )
+                for s, p in [(0.125, 4.0), (-0.25, 2.0), (0.0, np.inf)]:
+                    assert modulation_norm(f_centred, s, p) == pytest.approx(
+                        modulation_norm(f_full, s, p), rel=1e-12
+                    )
+                cube = round(self.pair[0])
+                assert unit_cube_project(f_centred, cube).l2_norm() == pytest.approx(
+                    unit_cube_project(f_full, cube).l2_norm(), rel=1e-12
+                )
+
+    def test_resolution_checks_follow_the_band(self, grids):
+        _, g = grids
+        lo, hi = g.band
+        f = Field.zero(g)
+        unit_cube_project(f, round(g.xi0))
+        for n in (0, round(lo), round(hi)):
+            with pytest.raises(ResolutionError, match="needs the band"):
+                unit_cube_project(f, n)
+        with pytest.raises(ResolutionError, match="unresolved carrier"):
+            soliton_field(SolitonParams(carrier=self.pair[0] / 2, scale=self.scale), 0.0, g)
+        # the band edge is the largest |xi| on the grid, on either side of zero
+        mirrored = GridSpec(g.length, g.points, offset=-g.offset)
+        for h in (f, Field.zero(mirrored)):
+            littlewood_paley(h, 32.0)
+            with pytest.raises(ResolutionError, match="band edge"):
+                littlewood_paley(h, 64.0)
+
+    def test_products_and_writers_refuse_offset_grids(self, grids, tmp_path):
+        _, g = grids
+        u = soliton_field(SolitonParams(carrier=self.pair[0], scale=self.scale), 0.0, g)
+        refusals = [
+            lambda: nonlinearity(u),
+            lambda: step(u, 1e-4, SolverConfig(dt=1e-4)),
+            lambda: evolve_final(u, 1e-3, SolverConfig(dt=1e-4)),
+            lambda: riesz_bilinear(0.5, u, u),
+            lambda: Field.from_function(g, np.cos),
+            lambda: write_field(tmp_path / "f.bin", u),
+            lambda: write_trajectory(
+                tmp_path / "t.bin", SpaceTimeField(g, 1.0, np.zeros((2, g.points))), 0.5, 1
+            ),
+        ]
+        for refused in refusals:
+            with pytest.raises(OffsetGridError, match="needs an offset-0 grid"):
+                refused()
+        assert not list(tmp_path.iterdir())
