@@ -21,6 +21,7 @@ restriction-norm infima.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -220,18 +221,26 @@ class SpaceTimeField:
         return SpaceTimeField(self.grid, self.t_window, c * self.samples)
 
 
+@functools.lru_cache(maxsize=4)
+def _airy_phases(g: GridSpec, t_window: float, n_times: int) -> np.ndarray:
+    """Read-only (K, M) table exp(i t_k xi^3) of the free flow, one per window."""
+    t = (t_window / n_times) * np.arange(n_times)
+    phases = np.exp(1j * np.outer(t, g.xi**3))
+    phases.setflags(write=False)
+    return phases
+
+
 def free_evolution(f: Field, t_window: float, n_times: int) -> SpaceTimeField:
     """Trajectory of the free (Airy) flow sampled over [0, T_w)."""
     g = f.grid
     coef = forward_transform(f).coefficients
-    t = (t_window / n_times) * np.arange(n_times)
-    phases = np.exp(1j * np.outer(t, g.xi**3))
+    phases = _airy_phases(g, t_window, n_times)
     samples = np.fft.ifft(g._phase()[None, :] * (phases * coef[None, :]), axis=1) / g.dx
     return SpaceTimeField(g, t_window, samples)
 
 
-def _space_time_coefficients(u: SpaceTimeField) -> tuple[np.ndarray, np.ndarray]:
-    """Windowed double transform: returns (tau lattice, coefficients (K, M)).
+def _space_time_coefficients(u: SpaceTimeField) -> np.ndarray:
+    """Windowed double transform: the (K, M) coefficients on the (tau, xi) lattice.
 
     Checks that the temporal band resolves the xi^3 dispersion of the occupied
     spatial band and reports the snapshot count that would.
@@ -252,17 +261,23 @@ def _space_time_coefficients(u: SpaceTimeField) -> tuple[np.ndarray, np.ndarray]
                 f"dispersion xi^3 = {xi_occ ** 3:.4g} of the occupied band; "
                 f"need at least K = {k_need} snapshots"
             )
-    st = u.dt * np.fft.fft(spatial, axis=0)
-    tau = TWO_PI * np.fft.fftfreq(k, d=u.dt)
-    return tau, st
+    return u.dt * np.fft.fft(spatial, axis=0)
+
+
+@functools.lru_cache(maxsize=4)
+def _modulation_weight(g: GridSpec, t_window: float, k: int, b: float) -> np.ndarray:
+    """Read-only (K, M) weight <tau - xi^3>^{2b} on the windowed double-transform lattice."""
+    tau = TWO_PI * np.fft.fftfreq(k, d=t_window / k)
+    w_tau = (1.0 + (tau[:, None] - g.xi[None, :] ** 3) ** 2) ** b
+    w_tau.setflags(write=False)
+    return w_tau
 
 
 def xsb_norm(u: SpaceTimeField, s: float, b: float) -> float:
     """X^{s,b} norm: <xi>^s <tau - xi^3>^b weighted space-time L^2."""
-    tau, st = _space_time_coefficients(u)
-    xi = u.grid.xi
-    w_xi = _jap(xi) ** (2.0 * s)
-    w_tau = (1.0 + (tau[:, None] - xi[None, :] ** 3) ** 2) ** b
+    st = _space_time_coefficients(u)
+    w_xi = _jap(u.grid.xi) ** (2.0 * s)
+    w_tau = _modulation_weight(u.grid, u.t_window, u.n_times, b)
     a2, e = _scaled_squares(st)
     # in place: one more (K, M) temporary would fault in fresh pages per call
     total = np.sum(np.multiply(w_xi[None, :] * w_tau, a2, out=a2))
@@ -279,9 +294,9 @@ def xsb_p_norm(u: SpaceTimeField, s: float, b: float, p: float) -> float:
     """
     if p < 1:
         raise ValueError(f"p must satisfy p >= 1, got {p}")
-    tau, st = _space_time_coefficients(u)
+    st = _space_time_coefficients(u)
     xi = u.grid.xi
-    w_tau = (1.0 + (tau[:, None] - xi[None, :] ** 3) ** 2) ** b
+    w_tau = _modulation_weight(u.grid, u.t_window, u.n_times, b)
     dtau = TWO_PI / u.t_window
     a2, e = _scaled_squares(st)
     col = np.sum(np.multiply(w_tau, a2, out=a2), axis=0) * u.grid.dxi * dtau / TWO_PI**2

@@ -13,6 +13,7 @@ regressions rather than proving the estimates.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -20,7 +21,15 @@ from importlib import resources
 
 import numpy as np
 
-from .norms import SpaceTimeField, free_evolution, modulation_norm, xsb_norm, xsb_p_norm
+from .io import ConfigError
+from .norms import (
+    SpaceTimeField,
+    free_evolution,
+    modulation_norm,
+    sobolev_norm,
+    xsb_norm,
+    xsb_p_norm,
+)
 from .solver import SolverConfig, evolve
 from .spectral import (
     Field,
@@ -321,41 +330,57 @@ def _band_limit(f: Field, cap: float) -> Field:
     return Field(f.grid, np.fft.ifft(a))
 
 
-def _measure(fields: list[Field], seed: int = 1) -> dict:
-    """Raw maxima of every probe family over the corpus pairing.
+# Index ranges scale with the corpus: the first half feeds the cube probe in
+# pairs, the next 30% the dyadic probe, the last fifth the trilinear probe
+# (identical to the frozen calibration layout at size 200).
 
-    Index ranges scale with the corpus: first half feeds the cube probe in
-    pairs, the next 30% the dyadic probe, the last fifth the trilinear probe
-    (identical to the frozen calibration layout at size 200).
-    """
-    rng = np.random.default_rng(seed)
-    out: dict[str, dict] = {}
-    size = len(fields)
-    b1 = size // 2
-    b2 = size - max(size // 5, 1)
+def _trilinear_start(size: int) -> int:
+    return size - max(size // 5, 1)
 
+
+def _cube_indices(size: int) -> range:
+    return range(0, size // 2 - 1, 2)
+
+
+def _lp_indices(size: int) -> range:
+    return range(size // 2, _trilinear_start(size) - 1, 2)
+
+
+def _trilinear_indices(size: int) -> range:
+    return range(_trilinear_start(size), size)
+
+
+def _cube_layout(size: int, rng) -> list[tuple[int, int, int]]:
+    return [(i, *_cube_pairs(rng)) for i in _cube_indices(size)]
+
+
+def _probe_bilinear_cube(fields: list[Field], rng) -> dict:
     worst, arg, count = 0.0, "", 0
-    for i in range(0, b1 - 1, 2):
-        m, n = _cube_pairs(rng)
+    for i, m, n in _cube_layout(len(fields), rng):
         r = bilinear_ratio_cube(fields[i], fields[i + 1], m, n)
         count += 1
         if r > worst:
             worst, arg = r, f"fields ({i},{i + 1}), cubes ({m},{n})"
-    out["bilinear_cube"] = {"max": worst, "argmax": arg, "count": count}
+    return {"max": worst, "argmax": arg, "count": count}
 
+
+def _probe_bilinear_lp(fields: list[Field], rng) -> dict:
     worst, arg, count = 0.0, "", 0
     lp_pairs = [(8.0, 1.0), (8.0, 2.0), (4.0, 1.0)]
-    for i in range(b1, b2 - 1, 2):
+    for i in _lp_indices(len(fields)):
         n1, n2 = lp_pairs[(i // 2) % len(lp_pairs)]
         r = bilinear_ratio_lp(fields[i], fields[i + 1], n1, n2)
         count += 1
         if r > worst:
             worst, arg = r, f"fields ({i},{i + 1}), dyadics ({n1},{n2})"
-    out["bilinear_lp"] = {"max": worst, "argmax": arg, "count": count}
+    return {"max": worst, "argmax": arg, "count": count}
 
+
+def _probe_trilinear(fields: list[Field], rng) -> dict:
+    size = len(fields)
     worst, arg = 0.0, ""
     ratios = []
-    for i in range(b2, size):
+    for i in _trilinear_indices(size):
         # inputs capped to |xi| <= 4 so the cubic product stays temporally resolvable
         trip = tuple(
             _band_limit(fields[j], 4.0) for j in (i, (i + 7) % size, (i + 23) % size)
@@ -364,13 +389,15 @@ def _measure(fields: list[Field], seed: int = 1) -> dict:
         ratios.append(r)
         if r > worst:
             worst, arg = r, f"fields ({i},{(i + 7) % size},{(i + 23) % size})"
-    out["trilinear"] = {
+    return {
         "max": worst,
         "argmax": arg,
         "count": len(ratios),
         "median": float(np.median(ratios)),
     }
 
+
+def _probe_convolution(fields: list[Field], rng) -> dict:
     # the block family 1_{[1,K]} carries the K log K / K growth and dominates
     # the sparse families; the calibration constant must cover it
     worst, arg, count = 0.0, "", 0
@@ -396,18 +423,58 @@ def _measure(fields: list[Field], seed: int = 1) -> dict:
         count += 1
         if r > worst:
             worst, arg = r, f"sparse pair #{k}"
-    out["convolution"] = {"max": worst, "argmax": arg, "count": count}
+    return {"max": worst, "argmax": arg, "count": count}
 
-    from .norms import sobolev_norm  # local import to avoid a cycle at module load
 
+def _probe_xsb_free_evolution(fields: list[Field], rng) -> dict:
     worst, arg, count = 0.0, "", 0
-    for i in range(0, size, max(size // 20, 1)):
+    for i in range(0, len(fields), max(len(fields) // 20, 1)):
         fe = free_evolution(fields[i], CORPUS_T_WINDOW, CORPUS_N_TIMES)
         r = xsb_norm(fe, 0.25, 0.51) / sobolev_norm(fields[i], 0.25)
         count += 1
         if r > worst:
             worst, arg = r, f"field {i}"
-    out["xsb_free_evolution"] = {"max": worst, "argmax": arg, "count": count}
+    return {"max": worst, "argmax": arg, "count": count}
+
+
+#: probe families in measurement order; each takes (fields, shared rng)
+_FAMILIES = {
+    "bilinear_cube": _probe_bilinear_cube,
+    "bilinear_lp": _probe_bilinear_lp,
+    "trilinear": _probe_trilinear,
+    "convolution": _probe_convolution,
+    "xsb_free_evolution": _probe_xsb_free_evolution,
+}
+
+#: corpus indices of the families that a small corpus can leave without a sample
+_LAYOUTS = {
+    "bilinear_cube": _cube_indices,
+    "bilinear_lp": _lp_indices,
+}
+
+
+def _min_corpus_size(name: str) -> int:
+    """Smallest corpus size that gives family `name` one sample."""
+    return next(n for n in itertools.count(1) if len(_LAYOUTS[name](n)))
+
+
+def _measure(fields: list[Field], families=None, seed: int = 1) -> dict:
+    """Raw maxima of the named probe families over the corpus pairing.
+
+    Only the named families run (default: every family in the registry,
+    ``xsb_free_evolution`` included, as :func:`calibrate` needs).  Each
+    family's result does not depend on which others run: the rng stream is
+    shared, so the cube pairs are drawn even when ``bilinear_cube`` does not
+    run, and ``convolution`` sees the draws it was calibrated on.
+    """
+    rng = np.random.default_rng(seed)
+    wanted = _FAMILIES.keys() if families is None else set(families)
+    out: dict[str, dict] = {}
+    for name, family in _FAMILIES.items():
+        if name in wanted:
+            out[name] = family(fields, rng)
+        elif name == "bilinear_cube":
+            _cube_layout(len(fields), rng)
     return out
 
 
@@ -435,11 +502,17 @@ def run_probe_suite(
     corpus_seed: int | None = None,
     corpus_size: int | None = None,
 ) -> list[ProbeReport]:
-    """Run the probes; on the frozen corpus, check the stored calibration.
+    """Run the selected probes; on the frozen corpus, check the stored calibration.
+
+    Only the selected families are measured, each once: a name given twice
+    gives two equal reports.  ``xsb_free_evolution`` cannot be selected; it
+    runs only in :func:`calibrate` (and in ``_measure``'s default of every
+    family, which criterion 8a checks).
 
     Overriding corpus_seed/corpus_size runs the same probe families on a
     fresh corpus and reports raw ratios without calibration comparison (the
-    stored constants only bind the frozen corpus).
+    stored constants only bind the frozen corpus).  A corpus_size below 1, or
+    one that gives a selected family no sample, raises :class:`ConfigError`.
     """
     cal = load_calibration()
     frozen = (corpus_seed in (None, CORPUS_SEED)) and (corpus_size in (None, CORPUS_SIZE))
@@ -448,21 +521,30 @@ def run_probe_suite(
     unknown = set(names) - set(available)
     if unknown:
         raise ValueError(f"unknown probes: {sorted(unknown)}; available: {available}")
-    reports: list[ProbeReport] = []
+    size = CORPUS_SIZE if corpus_size is None else corpus_size
+    if size < 1:
+        raise ConfigError(f"corpus_size must be >= 1, got {size}")
     needs_corpus = set(names) - {"resonance"}
+    for name in sorted(needs_corpus & _LAYOUTS.keys()):
+        if not _LAYOUTS[name](size):
+            raise ConfigError(
+                f"corpus_size {size} gives the {name} probe no sample; "
+                f"it needs corpus_size >= {_min_corpus_size(name)}"
+            )
     if needs_corpus:
         fields = make_probe_corpus(
-            seed=CORPUS_SEED if corpus_seed is None else corpus_seed,
-            size=CORPUS_SIZE if corpus_size is None else corpus_size,
+            seed=CORPUS_SEED if corpus_seed is None else corpus_seed, size=size
         )
         if frozen and corpus_hash(fields) != cal["corpus"]["sha256"]:
             raise RuntimeError(
                 "frozen corpus hash mismatch; calibration constants do not apply"
             )
-        measured = _measure(fields)
+        measured = _measure(fields, needs_corpus)
+    if "resonance" in names:
+        dev = resonance_max_deviation()
+    reports: list[ProbeReport] = []
     for name in names:
         if name == "resonance":
-            dev = resonance_max_deviation()
             reports.append(
                 ProbeReport(
                     estimate="resonance-identity",

@@ -296,6 +296,23 @@ class TestCliProbe:
         assert rep["within_calibration"] is None
         assert rep["max_ratio"] > 0
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_nonpositive_corpus_size_exits_2_with_one_line(self, tmp_path, capsys, size):
+        cfg = write_cfg(tmp_path, "p.cfg", f"probes=trilinear\ncorpus_size={size}\n")
+        rc = main(["probe", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: corpus_size must be >= 1")
+        assert err.count("\n") == 1
+
+    def test_corpus_too_small_for_a_family_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "p.cfg", "probes=bilinear_lp\ncorpus_size=4\n")
+        rc = main(["probe", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "bilinear_lp" in err and "corpus_size >= 5" in err
+
 
 class TestCliNorms:
     def test_norms_of_stored_sech(self, tmp_path):

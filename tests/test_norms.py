@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from mkdvlab import norms
 from mkdvlab.norms import (
     NormParams,
     SpaceTimeField,
@@ -18,6 +19,7 @@ from mkdvlab.norms import (
     xsb_p_norm,
 )
 from mkdvlab.spectral import (
+    TWO_PI,
     Field,
     GridSpec,
     ResolutionError,
@@ -307,3 +309,78 @@ class TestXsb:
         u = free_evolution(f, 1.0, 16)  # tau_max ~ 50 << 10^3
         with pytest.raises(ResolutionError, match="K ="):
             xsb_norm(u, 0.0, 0.5)
+
+
+# test-local copies of the uncached table expressions
+
+
+def free_evolution_samples_uncached(f, t_window, n_times):
+    g = f.grid
+    coef = forward_transform(f).coefficients
+    t = (t_window / n_times) * np.arange(n_times)
+    phases = np.exp(1j * np.outer(t, g.xi**3))
+    return np.fft.ifft(g._phase()[None, :] * (phases * coef[None, :]), axis=1) / g.dx
+
+
+def uncached_weight(u, b):
+    tau = TWO_PI * np.fft.fftfreq(u.n_times, d=u.dt)
+    return (1.0 + (tau[:, None] - u.grid.xi[None, :] ** 3) ** 2) ** b
+
+
+def xsb_norm_uncached(u, s, b):
+    st = norms._space_time_coefficients(u)
+    w_xi = norms._jap(u.grid.xi) ** (2.0 * s)
+    a2, e = norms._scaled_squares(st)
+    total = np.sum(np.multiply(w_xi[None, :] * uncached_weight(u, b), a2, out=a2))
+    dtau = TWO_PI / u.t_window
+    return math.ldexp(float(np.sqrt(total * u.grid.dxi * dtau) / TWO_PI), e)
+
+
+def xsb_p_norm_uncached(u, s, b, p):
+    st = norms._space_time_coefficients(u)
+    xi = u.grid.xi
+    dtau = TWO_PI / u.t_window
+    a2, e = norms._scaled_squares(st)
+    col = np.sum(np.multiply(uncached_weight(u, b), a2, out=a2), axis=0)
+    col = col * u.grid.dxi * dtau / TWO_PI**2
+    cubes = np.floor(xi).astype(int)
+    n_values = np.arange(cubes.min(), cubes.max() + 1)
+    block2 = np.zeros(n_values.size)
+    np.add.at(block2, cubes - cubes.min(), col)
+    return math.ldexp(norms._lp(norms._jap(n_values) ** s * np.sqrt(block2), p), e)
+
+
+class TestCachedTables:
+    def test_interleaved_windows_grids_and_b_match_uncached(self, st_corpus):
+        # 2 grid lengths x 2 snapshot counts x 2 values of b, visited in three
+        # interleaved passes: 8 weight keys overflow that cache, so entries
+        # are evicted, rebuilt and reused between the checks
+        cases = []
+        for length in (64.0, 128.0):
+            grid = GridSpec(length=length, points=256)
+            f = Field(grid, st_corpus[0].values)
+            for n_times in (256, 1024):
+                for b in (0.55, -0.48):
+                    cases.append((f, n_times, b))
+        for f, n_times, b in cases + cases[::-1] + cases[::3]:
+            u = free_evolution(f, 1.0, n_times)
+            assert np.array_equal(u.samples, free_evolution_samples_uncached(f, 1.0, n_times))
+            assert xsb_norm(u, 0.25, b) == xsb_norm_uncached(u, 0.25, b)
+            assert xsb_p_norm(u, 0.25, b, 4.0) == xsb_p_norm_uncached(u, 0.25, b, 4.0)
+
+    def test_norms_of_non_free_trajectories_match_uncached(self, st_grid, st_corpus):
+        rng = np.random.default_rng(5)
+        samples = np.stack([st_corpus[i % 12].values for i in range(512)])
+        u = SpaceTimeField(st_grid, 0.5, samples * rng.standard_normal((512, 1)))
+        for b in (0.0, 0.51, -0.48):
+            assert xsb_norm(u, -0.125, b) == xsb_norm_uncached(u, -0.125, b)
+            for p in (1.0, 2.0, INF):
+                assert xsb_p_norm(u, 0.25, b, p) == xsb_p_norm_uncached(u, 0.25, b, p)
+
+    def test_tables_are_read_only(self, st_grid):
+        phases = norms._airy_phases(st_grid, 1.0, 256)
+        weight = norms._modulation_weight(st_grid, 1.0, 256, 0.55)
+        for table in (phases, weight):
+            assert table.shape == (256, st_grid.points)
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.0

@@ -1,8 +1,12 @@
 """Tests for the estimate probes and their calibration machinery."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from mkdvlab import probes
+from mkdvlab.io import ConfigError
 from mkdvlab.norms import modulation_norm
 from mkdvlab.probes import (
     CORPUS_GRID,
@@ -282,3 +286,108 @@ class TestCorpusAndSuite:
     def test_unknown_probe_rejected(self):
         with pytest.raises(ValueError, match="unknown probes"):
             run_probe_suite(["nonsense"])
+
+
+#: a small non-frozen corpus: raw ratios, no calibration comparison
+SMALL_SEED, SMALL_SIZE = 7, 20
+CORPUS_FAMILIES = ["bilinear_cube", "bilinear_lp", "trilinear", "convolution"]
+
+
+def run_small(names):
+    return run_probe_suite(names, corpus_seed=SMALL_SEED, corpus_size=SMALL_SIZE)
+
+
+@pytest.fixture(scope="module")
+def small_reports():
+    """Reports of every corpus family, measured in one run."""
+    return {r.estimate: r for r in run_small(CORPUS_FAMILIES)}
+
+
+class TestProbeRegistry:
+    @pytest.mark.parametrize(
+        "names",
+        [
+            ["bilinear_cube"],
+            ["bilinear_lp"],
+            ["trilinear"],
+            ["convolution"],
+            ["bilinear_cube", "bilinear_lp", "trilinear"],
+            ["trilinear", "bilinear_cube"],
+        ],
+        ids=["cube", "lp", "trilinear", "convolution-alone", "readme-three", "reordered"],
+    )
+    def test_selection_matches_all_families_run(self, names, small_reports):
+        assert run_small(names) == [small_reports[n] for n in names]
+
+    def test_convolution_alone_sees_the_calibrated_stream(self, monkeypatch):
+        # convolution draws after the cube pairs; without bilinear_cube the
+        # pairs must still be drawn, so the stream it starts from is the same
+        fields = make_probe_corpus(seed=SMALL_SEED, size=SMALL_SIZE)
+        states = []
+
+        def record(fields, rng):
+            states.append(rng.bit_generator.state["state"])
+            return {}
+
+        monkeypatch.setitem(probes._FAMILIES, "convolution", record)
+        probes._measure(fields, ["convolution"])
+        probes._measure(fields, ["bilinear_cube", "convolution"])
+        assert states[0] == states[1]
+        assert states[0] != np.random.default_rng(1).bit_generator.state["state"]
+
+    def test_duplicate_names_run_the_family_once(self, monkeypatch, small_reports):
+        calls = Counter()
+
+        def counted(name, family):
+            def run(fields, rng):
+                calls[name] += 1
+                return family(fields, rng)
+
+            return run
+
+        for name, family in list(probes._FAMILIES.items()):
+            monkeypatch.setitem(probes._FAMILIES, name, counted(name, family))
+        names = ["bilinear_cube", "trilinear", "bilinear_cube"]
+        assert run_small(names) == [small_reports[n] for n in names]
+        assert calls == {"bilinear_cube": 1, "trilinear": 1}
+
+    def test_default_measures_every_family_in_order(self, monkeypatch):
+        order = []
+        for name in list(probes._FAMILIES):
+            monkeypatch.setitem(
+                probes._FAMILIES, name, lambda fields, rng, name=name: order.append(name) or {}
+            )
+        measured = probes._measure([])
+        assert order == list(measured) == [
+            "bilinear_cube", "bilinear_lp", "trilinear", "convolution", "xsb_free_evolution",
+        ]
+
+    def test_readme_families_skip_the_convolution_check(self, monkeypatch):
+        calls = []
+        real = probes.convolution_inequality_check
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(probes, "convolution_inequality_check", counted)
+        run_small(["bilinear_cube", "bilinear_lp", "trilinear"])
+        assert calls == []
+        run_small(["convolution"])
+        assert len(calls) == 3004  # the counter sees the family when it runs
+
+    def test_calibration_only_family_not_selectable(self):
+        with pytest.raises(ValueError, match="unknown probes"):
+            run_probe_suite(["xsb_free_evolution"])
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_nonpositive_corpus_size_refused(self, size):
+        with pytest.raises(ConfigError, match="corpus_size must be >= 1"):
+            run_probe_suite(["trilinear"], corpus_size=size)
+
+    @pytest.mark.parametrize("name, need", [("bilinear_cube", 4), ("bilinear_lp", 5)])
+    def test_corpus_without_a_sample_refused(self, name, need):
+        with pytest.raises(ConfigError, match=rf"{name} probe no sample.*>= {need}$"):
+            run_probe_suite([name], corpus_seed=SMALL_SEED, corpus_size=need - 1)
+        (report,) = run_probe_suite([name], corpus_seed=SMALL_SEED, corpus_size=need)
+        assert report.corpus_size == 1
