@@ -169,12 +169,12 @@ def cmd_solve(cfg: dict, out: Path, seed: int | None) -> int:
     for i in range(traj.n_times):
         f = traj.field_at(i)
         inv = invariants(f)
-        row = {"t": float(traj.times[i]), "mass": inv["mass"], "momentum": inv["momentum"]}
-        if inv["mass"] > 0:
-            row["modulation_norm"] = modulation_norm(f, norm_s, norm_p)
-        else:
-            row["modulation_norm"] = 0.0
-        rows.append(row)
+        rows.append({
+            "t": float(traj.times[i]),
+            "mass": inv["mass"],
+            "momentum": inv["momentum"],
+            "modulation_norm": modulation_norm(f, norm_s, norm_p),
+        })
     header = _header(cfg, grid, seed)
     write_trajectory(out / "trajectory.bin", traj, solver_cfg.dt, sign)
     write_csv(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,10 @@ __all__ = [
 
 #: admissible relative spectral mass outside the window-covered band
 TAIL_TOL = 1e-10
+
+#: bytes each table cache keeps (the probe corpus needs 5 MiB of phases and
+#: 4.5 MiB of weights); a larger table is rebuilt on every call
+_TABLE_CACHE_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -221,7 +226,32 @@ class SpaceTimeField:
         return SpaceTimeField(self.grid, self.t_window, c * self.samples)
 
 
-@functools.lru_cache(maxsize=4)
+def _table_cache(build):
+    """Least-recently-used cache of read-only tables, bounded by bytes.
+
+    A new table is kept and the least recently used ones are evicted until
+    the kept ones fit in ``_TABLE_CACHE_BYTES``; a table larger than that is
+    returned but not kept.  ``tables`` holds the kept entries, oldest first.
+    """
+    tables = OrderedDict()
+
+    @functools.wraps(build)
+    def cached(*key):
+        if key in tables:
+            tables.move_to_end(key)
+            return tables[key]
+        table = build(*key)
+        if table.nbytes <= _TABLE_CACHE_BYTES:
+            tables[key] = table
+            while sum(t.nbytes for t in tables.values()) > _TABLE_CACHE_BYTES:
+                tables.popitem(last=False)
+        return table
+
+    cached.tables = tables
+    return cached
+
+
+@_table_cache
 def _airy_phases(g: GridSpec, t_window: float, n_times: int) -> np.ndarray:
     """Read-only (K, M) table exp(i t_k xi^3) of the free flow, one per window."""
     t = (t_window / n_times) * np.arange(n_times)
@@ -264,7 +294,7 @@ def _space_time_coefficients(u: SpaceTimeField) -> np.ndarray:
     return u.dt * np.fft.fft(spatial, axis=0)
 
 
-@functools.lru_cache(maxsize=4)
+@_table_cache
 def _modulation_weight(g: GridSpec, t_window: float, k: int, b: float) -> np.ndarray:
     """Read-only (K, M) weight <tau - xi^3>^{2b} on the windowed double-transform lattice."""
     tau = TWO_PI * np.fft.fftfreq(k, d=t_window / k)

@@ -135,16 +135,18 @@ class GridSpec:
         return ph
 
 
-def _scaled_squares(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """(|a| 2^-e)^2 and e, with e the binary exponent of max|a|.
+def _scaled_squares(a: np.ndarray, e: int | None = None) -> tuple[np.ndarray, int]:
+    """(|a| 2^-e)^2 and e, with e the binary exponent of max|a| unless given.
 
     Squares of tiny or huge moduli under- or overflow; scaling by a power of
     two first avoids that and is exact, so for moduli whose squares are
-    normal numbers the result times 4^e equals |a|^2 bit for bit.
+    normal numbers the result times 4^e equals |a|^2 bit for bit.  Passing
+    the e of another array scales both by one common power of two.
     """
     mod = np.abs(a)
-    # clamped so that 2^-e stays finite for a subnormal peak
-    e = max(math.frexp(float(np.max(mod)) if mod.size else 0.0)[1], -1021)
+    if e is None:
+        # clamped so that 2^-e stays finite for a subnormal peak
+        e = max(math.frexp(float(np.max(mod)) if mod.size else 0.0)[1], -1021)
     np.multiply(mod, math.ldexp(1.0, -e), out=mod)
     return np.square(mod, out=mod), e
 

@@ -178,6 +178,25 @@ class TestCliSolve:
         ]
         assert all(row.split(",")[1] == "0.0" for row in rows)
 
+    def test_tiny_amplitude_keeps_its_modulation_norm(self, tmp_path):
+        # the mass (~1e-339) underflows to 0.0; the modulation norm (~1e-170)
+        # is still a double and must be written
+        cfg = write_cfg(
+            tmp_path,
+            "tiny.cfg",
+            "initial=random\namplitude=1e-170\nlength=64\npoints=256\n"
+            "t_final=0.016\ndt=1e-3\nrecord_every=8\n",
+        )
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 0
+        rows = [
+            line.split(",")
+            for line in (tmp_path / "out" / "invariants.csv").read_text().splitlines()
+            if line and not line.startswith("#") and not line.startswith("t,")
+        ]
+        assert len(rows) == 2
+        assert all(float(row[3]) > 0.0 for row in rows)
+
     def test_missing_config_exits_2(self, tmp_path):
         rc = main(["solve", "--config", str(tmp_path / "absent.cfg")])
         assert rc == 2

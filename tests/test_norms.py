@@ -377,6 +377,40 @@ class TestCachedTables:
             for p in (1.0, 2.0, INF):
                 assert xsb_p_norm(u, 0.25, b, p) == xsb_p_norm_uncached(u, 0.25, b, p)
 
+    def test_probe_corpus_tables_stay_resident(self, monkeypatch):
+        # every table a run of the corpus families asks for is built once:
+        # the set (phases for K = 256, 1024, weights for three b) fits the budget
+        from mkdvlab.probes import run_probe_suite
+
+        requested = {}
+        for name in ("_airy_phases", "_modulation_weight"):
+            cache = getattr(norms, name)
+            cache.tables.clear()
+            keys = requested[cache] = []
+
+            def recording(*key, cache=cache, keys=keys):
+                keys.append(key)
+                return cache(*key)
+
+            monkeypatch.setattr(norms, name, recording)
+        run_probe_suite(["bilinear_cube", "bilinear_lp", "trilinear"], corpus_seed=7, corpus_size=20)
+        for cache, keys in requested.items():
+            assert len(keys) > len(set(keys)) >= 2
+            assert set(keys) == set(cache.tables)
+
+    def test_retention_within_budget_after_large_trilinear_grids(self):
+        # M = 512, K = 1024 and M = 1024, K = 2048: tables of 4 to 32 MiB
+        from mkdvlab.probes import _band_limit, trilinear_ratio
+        from mkdvlab.solitons import SolitonParams, soliton_field
+
+        for points, n_times in ((512, 1024), (1024, 2048)):
+            grid = GridSpec(length=128.0, points=points)
+            u = _band_limit(soliton_field(SolitonParams(carrier=2.0, scale=0.5), 0.0, grid), 4.0)
+            trilinear_ratio(u, u, u, 0.25, 4.0, n_times=n_times)
+        for cache in (norms._airy_phases, norms._modulation_weight):
+            assert 0 < sum(t.nbytes for t in cache.tables.values()) <= norms._TABLE_CACHE_BYTES
+        assert (grid, 1.0, 2048) not in norms._airy_phases.tables
+
     def test_tables_are_read_only(self, st_grid):
         phases = norms._airy_phases(st_grid, 1.0, 256)
         weight = norms._modulation_weight(st_grid, 1.0, 256, 0.55)

@@ -1,5 +1,7 @@
 """Tests for the integrating-factor RK4 solver."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,9 @@ from mkdvlab.solver import (
     SolverConfig,
     SolverError,
     _Workspace,
+    _fft_kernel,
+    _ifft_kernel,
+    _scaled_mass,
     evolve,
     evolve_final,
     invariants,
@@ -309,3 +314,113 @@ class TestWorkspaceMatchesReference:
             runs.append(a)
         assert np.array_equal(runs[0], runs[1])
         assert not np.shares_memory(runs[0], runs[1])
+
+
+# ---------------------------------------------------------------------------
+# numpy's private pocketfft kernels, which the workspace calls directly
+# ---------------------------------------------------------------------------
+
+class TestNumpyPrivatePocketfftKernels:
+    """The workspace binds ``numpy.fft._pocketfft_umath.ifft``/``.fft``.
+
+    They are numpy's private API: a numpy release that moves or changes them
+    fails here (or at the import of ``mkdvlab.solver``).
+    """
+
+    @pytest.mark.parametrize("n", [384, 768, 1000, 6144])
+    def test_kernels_bit_equal_np_fft(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        inv = np.empty(n, dtype=np.complex128)
+        _ifft_kernel(x, 1.0 / n, out=inv)
+        assert np.array_equal(inv, np.fft.ifft(x))
+        fwd = x.copy()
+        _fft_kernel(fwd, 1.0, out=fwd)  # in place, as the workspace calls it
+        assert np.array_equal(fwd, np.fft.fft(x))
+
+
+# ---------------------------------------------------------------------------
+# CFL proxy: max |u|^2 of stage 1 only
+# ---------------------------------------------------------------------------
+
+def reference_stage1_max_abs2(a, grid):
+    m = grid.points
+    pad, half = 3 * m // 2, m // 2
+    ap = np.zeros(pad, dtype=np.complex128)
+    ap[:half] = a[:half]
+    ap[-half:] = a[half:]
+    u = np.fft.ifft(ap) * (pad / m)
+    return float(np.max(np.abs(u) ** 2))
+
+
+class TestCflCheck:
+    def test_checked_step_keeps_the_stage_one_maximum(self, small_grid):
+        ws = _Workspace(small_grid, 1e-3, 1)
+        a = np.fft.fft(white_noise_field(small_grid, seed=7).values)
+        ws.rk4(a, True)
+        assert ws.last_max_abs2 == reference_stage1_max_abs2(a, small_grid)
+
+    def test_guard_trips_at_the_reference_step(self, small_grid):
+        # a packet pre-dispersed by the backward Airy flow refocuses during
+        # the run: its peak grows, so the proxy starts at 0.45 and crosses 0.5
+        # only after step 1
+        dt = 1e-2
+        ws = _Workspace(small_grid, dt, 1)
+        xi = small_grid.xi
+        shape = np.exp(-((xi / 2.0) ** 2)) * np.exp(-0.1j * xi**3)
+        shape[~ws.band_mask] = 0.0
+        peak = reference_stage1_max_abs2(shape, small_grid)
+        a0 = shape * math.sqrt(0.45 / (dt * NONLINEAR_COEFFICIENT * ws.xi_band_max * peak))
+        want, trip_step = a0, None
+        for k in range(1, 21):
+            max_abs2 = reference_stage1_max_abs2(want, small_grid)
+            proxy = abs(dt) * NONLINEAR_COEFFICIENT * max_abs2 * ws.xi_band_max
+            if proxy > 0.5:
+                trip_step = k
+                break
+            want = reference_rk4(want, small_grid, dt, 1)
+        assert trip_step is not None and trip_step > 1
+        message = (
+            f"advective CFL proxy {proxy:.3g} > 0.5 (dt = {dt:.3g}, "
+            f"max|u|^2 = {max_abs2:.3g}, band edge = {ws.xi_band_max:.4g}); reduce dt"
+        )
+        got = a0
+        for _ in range(trip_step - 1):
+            got = ws.rk4(got, True)
+        assert np.array_equal(got, want)
+        with pytest.raises(SolverError) as info:
+            ws.rk4(got, True)
+        assert str(info.value) == message
+        assert ws.last_max_abs2 == max_abs2
+
+
+# ---------------------------------------------------------------------------
+# Mass guard where the mass leaves the double range
+# ---------------------------------------------------------------------------
+
+class TestMassGuardScaling:
+    @pytest.mark.parametrize("amplitude", [1e-170, 1e170])
+    def test_guard_trips_where_the_mass_is_out_of_range(self, small_grid, amplitude, monkeypatch):
+        # the mass (~1e-339 or ~1e+341) under- or overflows in double; a step
+        # that rescales the state by 1.001 must still trip the drift guard
+        f0 = small_random_field(small_grid, seed=3, amplitude=amplitude)
+        with np.errstate(over="ignore"):
+            assert float(np.sum(np.abs(f0.values) ** 2)) in (0.0, math.inf)
+        monkeypatch.setattr(_Workspace, "rk4", lambda self, a, check_cfl: 1.001 * a)
+        with pytest.raises(MassDriftError, match="drift"):
+            evolve_final(f0, 0.016, SolverConfig(dt=1e-3))
+
+    def test_drift_ratio_bit_identical_for_normal_masses(self, small_grid):
+        ws = _Workspace(small_grid, 5e-3, 1)
+        a0 = np.fft.fft(white_noise_field(small_grid, seed=11).values)
+        a0[~ws.band_mask] = 0.0
+        a1 = ws.rk4(ws.rk4(a0, True), True)
+
+        def mass(a):
+            return float(np.sum(np.abs(a) ** 2) * small_grid.dx / small_grid.points)
+
+        plain = abs(mass(a1) - mass(a0)) / mass(a0)
+        m0, e = _scaled_mass(a0, small_grid)
+        m1, _ = _scaled_mass(a1, small_grid, e)
+        assert plain > 0.0
+        assert abs(m1 - m0) / m0 == plain
