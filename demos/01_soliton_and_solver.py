@@ -14,7 +14,7 @@ from mkdvlab import (
     GridSpec,
     SolitonParams,
     SolverConfig,
-    evolve_final,
+    evolve,
     invariants,
     soliton_field,
 )
@@ -32,7 +32,7 @@ print(f"\nmeasured at t=0:  mass = {inv0['mass']:.12f},  momentum = {inv0['momen
 # --- evolve one time unit and compare with the exact solution -------------
 horizon, dt = 1.0, 1e-4
 print(f"\nevolving T = {horizon} with dt = {dt} (integrating-factor RK4, 3/2-rule dealiasing)")
-u_num = evolve_final(u0, horizon, SolverConfig(dt=dt))
+u_num = evolve(u0, horizon, SolverConfig(dt=dt)).final
 u_exact = soliton_field(params, horizon, grid)
 
 err = np.sqrt(np.sum(np.abs(u_num.values - u_exact.values) ** 2) * grid.dx)
@@ -47,7 +47,7 @@ print(f"momentum drift: {abs(inv1['momentum'] - inv0['momentum']) / abs(inv0['mo
 print("\nRichardson order check on a short horizon (error ratio ~ 16 for RK4):")
 errors = []
 for trial_dt in (1e-3, 5e-4):
-    got = evolve_final(u0, 0.1, SolverConfig(dt=trial_dt))
+    got = evolve(u0, 0.1, SolverConfig(dt=trial_dt)).final
     exact = soliton_field(params, 0.1, grid)
     e = np.sqrt(np.sum(np.abs(got.values - exact.values) ** 2) * grid.dx) / ref
     errors.append(e)

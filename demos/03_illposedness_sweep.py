@@ -8,6 +8,7 @@ decay exponent of the initial difference.
 """
 
 from mkdvlab import ExperimentPlan, fit_exponent, run_sweep, verify_lemma
+from mkdvlab.illposed import DIFF_FLOOR, NORM_BAND
 
 for label, plan in [
     (
@@ -38,12 +39,12 @@ for label, plan in [
     verdict = verify_lemma(records, plan)
     fit = fit_exponent(records, "diff0")
     print(f"verdict: {'PASS' if verdict.passed else 'FAIL'}")
-    print(f"  solution norms max/min         : {verdict.norm_ratio:.4f} (band <= {plan.norm_band})")
+    print(f"  solution norms max/min         : {verdict.norm_ratio:.4f} (band <= {NORM_BAND})")
     print(f"  diff0 log-log slope            : {fit.slope:+.4f} (r^2 = {fit.r_squared:.4f})")
     print(f"  predicted asymptotic exponent  : {verdict.expected_exponent:+.4f}")
     print(f"  matches norm / norm^2 reading  : {verdict.slope_matches_norm} / {verdict.slope_matches_square}")
     print(f"  min diffT on top half          : {verdict.difft_min_top_half:.5f}"
-          f" (floor {plan.diff_floor} * median = {plan.diff_floor * verdict.norm_median:.5f})")
+          f" (floor {DIFF_FLOOR} * median = {DIFF_FLOOR * verdict.norm_median:.5f})")
     print(f"  spectral-tail decay rate       : {verdict.tail_decay_rate:+.3f} (positive = decays)")
     print()
 

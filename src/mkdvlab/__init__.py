@@ -16,16 +16,15 @@ from .spectral import (
     cos2_window,
     derivative,
     forward_transform,
+    fourier_multiplier,
     inverse_transform,
     littlewood_paley,
     quartic_window,
     riesz_bilinear,
     riesz_potential,
-    spatial_derivative,
     unit_cube_project,
 )
 from .norms import (
-    NormParams,
     SpaceTimeField,
     cube_l2_profile,
     fourier_lebesgue_norm,
@@ -37,7 +36,6 @@ from .norms import (
 )
 from .solitons import (
     SolitonParams,
-    ground_state,
     modulation_norm_of_spectrum,
     pair_difference_modsq,
     pair_overlap,
@@ -49,11 +47,11 @@ from .solitons import (
 )
 from .solver import (
     NONLINEAR_COEFFICIENT,
+    EvolveResult,
     MassDriftError,
     SolverConfig,
     SolverError,
     evolve,
-    evolve_final,
     invariants,
     nonlinearity,
     step,

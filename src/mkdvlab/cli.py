@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,25 +29,8 @@ from .io import (
 from .norms import fourier_lebesgue_norm, modulation_norm, sobolev_norm
 from .probes import run_probe_suite
 from .solitons import SolitonParams, soliton_field
-from .solver import SolverConfig, evolve_recorded, invariants
+from .solver import SolverConfig, evolve, invariants
 from .spectral import Field, GridSpec, SpectralField, inverse_transform
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved CLI invocation: subcommand, config path, output dir, seed, jobs."""
-
-    subcommand: str
-    config_path: Path
-    out_dir: Path
-    seed: int | None = None
-    jobs: int = 1
-
-    def __post_init__(self) -> None:
-        if self.subcommand not in _SCHEMAS:
-            raise ConfigError(f"unknown subcommand {self.subcommand!r}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
-
 
 _SCHEMAS = {
     "solve": (
@@ -161,7 +143,8 @@ def cmd_solve(cfg: dict, out: Path, seed: int | None) -> int:
     )
     f0 = _initial_field(cfg, grid, seed)
     record_every = _as_int(cfg, "record_every")
-    traj, final = evolve_recorded(f0, t_final, solver_cfg, record_every)
+    result = evolve(f0, t_final, solver_cfg, record_every)
+    traj, final = result.trajectory, result.final
     norm_s = _as_float(cfg, "norm_s") if "norm_s" in cfg else 0.0
     norm_p = _as_float(cfg, "norm_p") if "norm_p" in cfg else 2.0
 
@@ -301,29 +284,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(rc: RunConfig) -> int:
-    rc.out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = read_config(rc.config_path)
-    if rc.subcommand == "solve":
-        return cmd_solve(cfg, rc.out_dir, rc.seed)
-    if rc.subcommand == "illposed":
-        return cmd_illposed(cfg, rc.out_dir, rc.seed, rc.jobs)
-    if rc.subcommand == "probe":
-        return cmd_probe(cfg, rc.out_dir, rc.seed)
-    return cmd_norms(cfg, rc.out_dir)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    out = Path(args.out)
     try:
-        rc = RunConfig(
-            subcommand=args.command,
-            config_path=Path(args.config),
-            out_dir=Path(args.out),
-            seed=args.seed,
-            jobs=args.jobs,
-        )
-        return run(rc)
+        if args.jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
+        out.mkdir(parents=True, exist_ok=True)
+        cfg = read_config(Path(args.config))
+        if args.command == "solve":
+            return cmd_solve(cfg, out, args.seed)
+        if args.command == "illposed":
+            return cmd_illposed(cfg, out, args.seed, args.jobs)
+        if args.command == "probe":
+            return cmd_probe(cfg, out, args.seed)
+        return cmd_norms(cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -32,7 +32,7 @@ from .solitons import (
     soliton_spectrum,
     spectral_support_halfwidth,
 )
-from .solver import SolverConfig, evolve_final
+from .solver import SolverConfig, evolve
 from .spectral import Field, GridSpec, ResolutionError
 
 __all__ = [
@@ -51,6 +51,13 @@ __all__ = [
 
 REGIME_NONNEG = "nonneg-s"
 REGIME_NEG = "neg-s"
+
+#: largest admitted max/min ratio of the pooled solution norms
+NORM_BAND = 3.0
+#: diffT on the top half of the sweep must stay above this fraction of the median norm
+DIFF_FLOOR = 0.3
+#: relative grid/quadrature disagreement that aborts a sweep point
+AGREEMENT_TOL = 1e-4
 
 
 def _default_theta(s: float, p: float) -> float:
@@ -124,10 +131,6 @@ class ExperimentPlan:
     theta: float | None = None
     use_solver: bool = False
     grid_check: bool = True
-    norm_band: float = 3.0
-    diff_floor: float = 0.3
-    agreement_tol: float = 1e-4
-    max_points_log2: int = 23
 
     def __post_init__(self) -> None:
         if not self.carriers:
@@ -238,9 +241,7 @@ def _solver_cross_check(params: SolitonParams, t_final: float, grid: GridSpec) -
     slow_rate = 9.0 * params.carrier * params.scale**2 + 6.0 * params.scale**3
     dt_acc = 0.04 / slow_rate
     n_steps = max(64, math.ceil(t_final / min(dt_cfl, dt_acc)))
-    got = evolve_final(
-        u0, t_final, SolverConfig(dt=t_final / n_steps, mass_tol=1e-7)
-    )
+    got = evolve(u0, t_final, SolverConfig(dt=t_final / n_steps, mass_tol=1e-7)).final
     exact = soliton_field(params, t_final, grid)
     num = np.sqrt(np.sum(np.abs(got.values - exact.values) ** 2) * grid.dx)
     den = np.sqrt(np.sum(np.abs(exact.values) ** 2) * grid.dx)
@@ -287,12 +288,7 @@ def run_point(plan: ExperimentPlan, n: float) -> ExperimentRecord:
         if plan.grid_check:
             # the pair's spectra only: a grid centred between the carriers
             grid = plan_grid(
-                lam,
-                xi_top,
-                separation,
-                cube_margin,
-                plan.max_points_log2,
-                xi_bottom=min(pa.carrier, pb.carrier),
+                lam, xi_top, separation, cube_margin, xi_bottom=min(pa.carrier, pb.carrier)
             )
             ua0 = soliton_field(pa, 0.0, grid)
             ub0 = soliton_field(pb, 0.0, grid)
@@ -306,16 +302,14 @@ def run_point(plan: ExperimentPlan, n: float) -> ExperimentRecord:
                 (grid_diff0, diff0, "diff0"),
                 (grid_difft, difft, "diffT"),
             ):
-                if abs(got - want) > plan.agreement_tol * want:
+                if abs(got - want) > AGREEMENT_TOL * want:
                     raise RuntimeError(
                         f"grid/quadrature disagreement on {label} at N = {n}: "
                         f"{got!r} vs {want!r}"
                     )
         if solver_here:
             # the solver runs on offset-0 grids only, so it gets |xi| <= xi_top
-            grid = plan_grid(
-                lam, xi_top, separation, cube_margin, plan.max_points_log2, for_solver=True
-            )
+            grid = plan_grid(lam, xi_top, separation, cube_margin, for_solver=True)
             solver_error = _solver_cross_check(pa, plan.t_final, grid)
             if solver_error > 1e-4:
                 raise RuntimeError(
@@ -409,7 +403,7 @@ def verify_lemma(records: list[ExperimentRecord], plan: ExperimentPlan) -> Lemma
     records = sorted(records, key=lambda r: r.carrier)
     pooled = np.array([r.norm_u for r in records] + [r.norm_v for r in records])
     norm_ratio = float(np.max(pooled) / np.min(pooled))
-    bounded = norm_ratio <= plan.norm_band
+    bounded = norm_ratio <= NORM_BAND
 
     diff0 = np.array([r.diff0 for r in records])
     decreasing = bool(np.all(np.diff(diff0) < 0))
@@ -431,7 +425,7 @@ def verify_lemma(records: list[ExperimentRecord], plan: ExperimentPlan) -> Lemma
     top = records[half:]
     difft_min = float(min(r.difft for r in top))
     median = float(np.median([r.norm_u for r in records]))
-    floor_ok = difft_min >= plan.diff_floor * median
+    floor_ok = difft_min >= DIFF_FLOOR * median
 
     # remainder decay: ln(tail) against N^{tail_exponent}, fitted rate c > 0
     n = np.array([r.carrier for r in records])
@@ -467,8 +461,8 @@ def verify_lemma(records: list[ExperimentRecord], plan: ExperimentPlan) -> Lemma
         tail_decay_ok=tail_rate > 0,
         initial_bound_constant=c_init,
         thresholds={
-            "norm_band": plan.norm_band,
-            "diff_floor": plan.diff_floor,
+            "norm_band": NORM_BAND,
+            "diff_floor": DIFF_FLOOR,
             "slope_tolerance": 0.15,
         },
     )

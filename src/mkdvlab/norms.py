@@ -33,13 +33,14 @@ from .spectral import (
     Field,
     GridSpec,
     ResolutionError,
+    _coefficients,
+    _samples,
     _scaled_squares,
     cos2_window,
     forward_transform,
 )
 
 __all__ = [
-    "NormParams",
     "SpaceTimeField",
     "sobolev_norm",
     "fourier_lebesgue_norm",
@@ -57,22 +58,6 @@ TAIL_TOL = 1e-10
 #: bytes each table cache keeps (the probe corpus needs 5 MiB of phases and
 #: 4.5 MiB of weights); a larger table is rebuilt on every call
 _TABLE_CACHE_BYTES = 8 * 2**20
-
-
-@dataclass(frozen=True)
-class NormParams:
-    """Bundle of norm parameters: regularity s, summability p, optional b, eps."""
-
-    s: float
-    p: float
-    b: float | None = None
-    eps: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError(f"p must satisfy p >= 1, got {self.p}")
-        if self.eps is not None and not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
 
 
 def _lp(values: np.ndarray, p: float) -> float:
@@ -106,8 +91,6 @@ def fourier_lebesgue_norm(f: Field, s: float, p: float) -> float:
         raise ValueError(f"p must satisfy p >= 1, got {p}")
     F = forward_transform(f)
     weighted = _jap(f.grid.xi) ** s * np.abs(F.coefficients)
-    if math.isinf(p):
-        return float(np.max(weighted))
     return float(_lp(weighted, p) * f.grid.dxi ** (1.0 / p))
 
 
@@ -263,9 +246,8 @@ def _airy_phases(g: GridSpec, t_window: float, n_times: int) -> np.ndarray:
 def free_evolution(f: Field, t_window: float, n_times: int) -> SpaceTimeField:
     """Trajectory of the free (Airy) flow sampled over [0, T_w)."""
     g = f.grid
-    coef = forward_transform(f).coefficients
-    phases = _airy_phases(g, t_window, n_times)
-    samples = np.fft.ifft(g._phase()[None, :] * (phases * coef[None, :]), axis=1) / g.dx
+    coef = _coefficients(f.values, g)
+    samples = _samples(_airy_phases(g, t_window, n_times) * coef, g)
     return SpaceTimeField(g, t_window, samples)
 
 
@@ -277,7 +259,7 @@ def _space_time_coefficients(u: SpaceTimeField) -> np.ndarray:
     """
     g = u.grid
     k = u.n_times
-    spatial = g.dx * g._phase()[None, :] * np.fft.fft(u.windowed_samples(), axis=1)
+    spatial = _coefficients(u.windowed_samples(), g)
     col_peak = np.max(np.abs(spatial), axis=0)
     peak = float(np.max(col_peak))
     tau_nyq = np.pi * k / u.t_window

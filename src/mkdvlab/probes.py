@@ -35,6 +35,9 @@ from .spectral import (
     Field,
     GridSpec,
     SpectralField,
+    _coefficients,
+    _samples,
+    fourier_multiplier,
     inverse_transform,
     littlewood_paley,
     unit_cube_project,
@@ -168,8 +171,8 @@ def bilinear_ratio_lp(
 
 
 def _spatial_derivative_samples(traj: SpaceTimeField) -> np.ndarray:
-    a = np.fft.fft(traj.samples, axis=1)
-    return np.fft.ifft(1j * traj.grid.xi[None, :] * a, axis=1)
+    g = traj.grid
+    return _samples(1j * g.xi * _coefficients(traj.samples, g), g)
 
 
 def trilinear_ratio(
@@ -270,7 +273,7 @@ def apriori_tracking(
         raise ValueError(
             f"snapshot count {n_snapshots} must divide the {n_steps} steps"
         )
-    traj = evolve(u0, t_final, cfg, record_every=n_steps // n_snapshots)
+    traj = evolve(u0, t_final, cfg, record_every=n_steps // n_snapshots).trajectory
     norms = np.array(
         [modulation_norm(traj.field_at(i), s, p) for i in range(traj.n_times)]
     )
@@ -325,9 +328,7 @@ def _cube_pairs(rng) -> tuple[int, int]:
 
 def _band_limit(f: Field, cap: float) -> Field:
     """Hard spectral truncation to |xi| <= cap (keeps cubic products resolvable)."""
-    a = np.fft.fft(f.values)
-    a[np.abs(f.grid.xi) > cap] = 0.0
-    return Field(f.grid, np.fft.ifft(a))
+    return fourier_multiplier(f, np.abs(f.grid.xi) <= cap)
 
 
 # Index ranges scale with the corpus: the first half feeds the cube probe in

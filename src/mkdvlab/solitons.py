@@ -32,7 +32,6 @@ from .norms import _jap, _lp
 __all__ = [
     "SolitonParams",
     "sech",
-    "ground_state",
     "soliton_field",
     "soliton_time_derivative",
     "soliton_spectrum",
@@ -51,11 +50,6 @@ _SECH_CLIP = 700.0
 def sech(x):
     """Overflow-safe sech."""
     return 1.0 / np.cosh(np.clip(x, -_SECH_CLIP, _SECH_CLIP))
-
-
-def ground_state(x):
-    """Ground-state profile Q(x) = sech(x), solving -Q + Q'' + 2 Q^3 = 0."""
-    return sech(x)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ int Im(conj(u) d_x u) dx; both conservation laws hold for any cubic
 coefficient (integration by parts), so momentum serves as a second drift
 monitor rather than a mere diagnostic.
 
+:func:`evolve` is the one entry point: it returns an :class:`EvolveResult`
+with the terminal state and, when snapshots are requested, the trajectory.
 One evolution owns one ``_Workspace``, which allocates its padded and
 physical buffers, RK4 stage buffers and step constants once; the time loop
 then writes into them through ``out=`` arguments, and each ``nonlin`` call
@@ -30,7 +32,8 @@ so results are bit-identical to evaluating it with temporaries.  The twelve
 transforms of a step call numpy's pocketfft kernels (the gufuncs behind
 ``np.fft``, present since numpy 2.0) directly with the normalisation factor
 ``np.fft`` passes, which skips its per-call argument handling and gives the
-same bits; transforms made once per run or per snapshot stay ``np.fft``.
+same bits.  The loop works on unnormalised ``np.fft`` coefficients; the
+dx-weighted convention of :mod:`mkdvlab.spectral` is not used inside it.
 scipy.fft is not used: the package does not import it at load time.
 """
 
@@ -42,7 +45,7 @@ import numpy as np
 from numpy.fft import _pocketfft_umath
 
 from .norms import SpaceTimeField
-from .spectral import Field, GridSpec, _scaled_squares, require_zero_offset
+from .spectral import Field, GridSpec, _scaled_squares, derivative, require_zero_offset
 
 __all__ = [
     "NONLINEAR_COEFFICIENT",
@@ -51,8 +54,8 @@ __all__ = [
     "MassDriftError",
     "nonlinearity",
     "step",
+    "EvolveResult",
     "evolve",
-    "evolve_final",
     "invariants",
 ]
 
@@ -253,7 +256,24 @@ def step(f: Field, dt: float, cfg: SolverConfig) -> Field:
     return Field(f.grid, np.fft.ifft(a))
 
 
-def _run(f0: Field, t_final: float, cfg: SolverConfig, record_every: int | None):
+@dataclass(frozen=True, eq=False)
+class EvolveResult:
+    """Terminal state u(T) and, when recorded, the trajectory of snapshots."""
+
+    final: Field
+    trajectory: SpaceTimeField | None = None
+
+
+def evolve(
+    f0: Field, t_final: float, cfg: SolverConfig, record_every: int | None = None
+) -> EvolveResult:
+    """Evolve f0 to t_final in whole steps of cfg.dt.
+
+    With ``record_every`` = R the trajectory holds snapshots at t = 0, R dt,
+    ..., T - R dt; their count n_steps / R must be a power of two so the
+    trajectory is directly usable by the space-time norms.  Without it only
+    the terminal state is kept.
+    """
     grid = f0.grid
     n_steps = round(t_final / cfg.dt)
     if n_steps < 1 or abs(n_steps * cfg.dt - t_final) > 1e-8 * max(abs(t_final), 1.0):
@@ -261,7 +281,7 @@ def _run(f0: Field, t_final: float, cfg: SolverConfig, record_every: int | None)
             f"dt = {cfg.dt} does not divide the horizon T = {t_final} "
             f"into a whole number of steps"
         )
-    snapshots = []
+    snapshots = None
     if record_every is not None:
         if record_every < 1 or n_steps % record_every != 0:
             raise ValueError(
@@ -273,6 +293,7 @@ def _run(f0: Field, t_final: float, cfg: SolverConfig, record_every: int | None)
                 f"snapshot count {n_rec} must be a power of two (>= 2); "
                 f"adjust record_every"
             )
+        snapshots = np.empty((n_rec, grid.points), dtype=np.complex128)
     ws = _Workspace(grid, cfg.dt, cfg.sign)
     a = np.fft.fft(f0.values)
     a[~ws.band_mask] = 0.0  # dealias band enforced once; preserved by the flow
@@ -280,8 +301,8 @@ def _run(f0: Field, t_final: float, cfg: SolverConfig, record_every: int | None)
     # zero only for an all-zero field
     mass0, e = _scaled_mass(a, grid)
     for k in range(n_steps):
-        if record_every is not None and k % record_every == 0:
-            snapshots.append(np.fft.ifft(a))
+        if snapshots is not None and k % record_every == 0:
+            snapshots[k // record_every] = np.fft.ifft(a)
         a = ws.rk4(a, cfg.check_cfl)
         if not np.all(np.isfinite(a)):
             raise SolverError(f"solution blew up at step {k + 1} (t = {(k + 1) * cfg.dt:.4g})")
@@ -292,40 +313,13 @@ def _run(f0: Field, t_final: float, cfg: SolverConfig, record_every: int | None)
                 f"relative mass drift {drift:.3e} exceeds tolerance {cfg.mass_tol:.1e} "
                 f"over T = {t_final}; the run is under-resolved (reduce dt or refine the grid)"
             )
-    return np.fft.ifft(a), snapshots
-
-
-def evolve(
-    f0: Field, t_final: float, cfg: SolverConfig, record_every: int
-) -> SpaceTimeField:
-    """Evolve and record a trajectory: snapshots at t = 0, R dt, ..., T - R dt.
-
-    The snapshot count n_steps / record_every must be a power of two so the
-    trajectory is directly usable by the space-time norms.
-    """
-    _, snapshots = _run(f0, t_final, cfg, record_every)
-    return SpaceTimeField(f0.grid, t_final, np.array(snapshots))
-
-
-def evolve_recorded(
-    f0: Field, t_final: float, cfg: SolverConfig, record_every: int
-) -> tuple[SpaceTimeField, Field]:
-    """Trajectory plus the terminal state u(T) from a single run."""
-    final, snapshots = _run(f0, t_final, cfg, record_every)
-    return SpaceTimeField(f0.grid, t_final, np.array(snapshots)), Field(f0.grid, final)
-
-
-def evolve_final(f0: Field, t_final: float, cfg: SolverConfig) -> Field:
-    """Evolve and return only the terminal state u(T)."""
-    final, _ = _run(f0, t_final, cfg, None)
-    return Field(f0.grid, final)
+    trajectory = None if snapshots is None else SpaceTimeField(grid, t_final, snapshots)
+    return EvolveResult(Field(grid, np.fft.ifft(a)), trajectory)
 
 
 def invariants(f: Field) -> dict[str, float]:
     """Tracked invariants: mass int |u|^2 dx and momentum int Im(conj(u) u_x) dx."""
-    a = np.fft.fft(f.values)
-    xi = f.grid.xi
-    ux = np.fft.ifft(1j * xi * a)
+    ux = derivative(f).values
     mass = float(np.sum(np.abs(f.values) ** 2) * f.grid.dx)
     momentum = float(np.sum(np.imag(np.conj(f.values) * ux)) * f.grid.dx)
     return {"mass": mass, "momentum": momentum}

@@ -10,6 +10,13 @@ approximations of the continuum transform and Parseval reads
 
     sum_j |u(x_j)|^2 dx = (2 pi)^{-1} sum_k |u_hat(xi_k)|^2 dxi.
 
+The convention lives in one private pair, ``_coefficients`` and ``_samples``,
+which transform along the last axis (a (K, M) trajectory row by row).
+``forward_transform`` and ``inverse_transform`` wrap it for single fields,
+and every multiplier (derivatives, projectors, the Airy group, Riesz
+potentials) is one call of :func:`fourier_multiplier`.  Only the solver's
+time loop keeps its own unnormalised coefficients.
+
 A grid may be heterodyned: centred in frequency at xi0 = offset * dxi for an
 even integer offset.  A field on such a grid stores v(x_j) = exp(-i xi0 x_j)
 u(x_j), so its DFT coefficients approximate u_hat at the true frequencies
@@ -223,31 +230,44 @@ def require_zero_offset(grid: GridSpec, what: str) -> None:
         )
 
 
+def _coefficients(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """dx-weighted DFT along the last axis: u_hat(xi_k) for each row of samples.
+
+    Both halves of the pair drop their input before allocating the result,
+    so a (K, M) temporary passed in is freed, not kept beside two of its size.
+    """
+    spectrum = np.fft.fft(values, axis=-1)
+    del values
+    return grid.dx * grid._phase() * spectrum
+
+
+def _samples(coef: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Exact inverse of :func:`_coefficients`, along the last axis."""
+    phased = grid._phase() * coef
+    del coef
+    return np.fft.ifft(phased, axis=-1) / grid.dx
+
+
 def forward_transform(f: Field) -> SpectralField:
     """dx-weighted DFT approximating u_hat(xi) = integral u exp(-i xi x) dx."""
-    g = f.grid
-    coef = g.dx * g._phase() * np.fft.fft(f.values)
-    return SpectralField(g, coef)
+    return SpectralField(f.grid, _coefficients(f.values, f.grid))
 
 
 def inverse_transform(F: SpectralField) -> Field:
     """Exact inverse of :func:`forward_transform`."""
-    g = F.grid
-    vals = np.fft.ifft(g._phase() * F.coefficients) / g.dx
-    return Field(g, vals)
+    return Field(F.grid, _samples(F.coefficients, F.grid))
 
 
-def spatial_derivative(F: SpectralField, order: int) -> SpectralField:
-    """Multiply coefficients by (i xi)^order."""
-    if order < 0 or int(order) != order:
-        raise ValueError(f"derivative order must be a nonnegative integer, got {order}")
-    mult = (1j * F.grid.xi) ** order
-    return SpectralField(F.grid, mult * F.coefficients)
+def fourier_multiplier(f: Field, symbol: np.ndarray) -> Field:
+    """Apply the Fourier multiplier whose values at ``grid.xi`` are ``symbol``."""
+    return Field(f.grid, _samples(symbol * _coefficients(f.values, f.grid), f.grid))
 
 
 def derivative(f: Field, order: int = 1) -> Field:
-    """Spectral spatial derivative acting on physical snapshots."""
-    return inverse_transform(spatial_derivative(forward_transform(f), order))
+    """Spectral spatial derivative: the multiplier (i xi)^order."""
+    if order < 0 or int(order) != order:
+        raise ValueError(f"derivative order must be a nonnegative integer, got {order}")
+    return fourier_multiplier(f, (1j * f.grid.xi) ** order)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +294,7 @@ def littlewood_paley(f: Field, n_dyadic: float) -> Field:
     top = abs(f.grid.xi0) + f.grid.xi_nyquist
     if n_dyadic > top:
         raise ResolutionError(f"dyadic scale {n_dyadic} above the band edge {top:.4g}")
-    F = forward_transform(f)
-    coef = np.where(dyadic_mask(f.grid.xi, n_dyadic), F.coefficients, 0.0)
-    return inverse_transform(SpectralField(f.grid, coef))
+    return fourier_multiplier(f, dyadic_mask(f.grid.xi, n_dyadic))
 
 
 def cos2_window(u: np.ndarray) -> np.ndarray:
@@ -318,9 +336,7 @@ def unit_cube_project(f: Field, n: int, window=cos2_window) -> Field:
             f"cube n={n} needs the band [{n - 1}, {n + 1}], grid resolves "
             f"[{lo:.4g}, {hi:.4g}]"
         )
-    F = forward_transform(f)
-    coef = window(g.xi - n) * F.coefficients
-    return inverse_transform(SpectralField(g, coef))
+    return fourier_multiplier(f, window(g.xi - n))
 
 
 def airy_propagator(f: Field, t: float) -> Field:
@@ -328,17 +344,14 @@ def airy_propagator(f: Field, t: float) -> Field:
 
     Unitary on L^2 and a one-parameter group in t.
     """
-    F = forward_transform(f)
-    coef = np.exp(1j * f.grid.xi**3 * t) * F.coefficients
-    return inverse_transform(SpectralField(f.grid, coef))
+    return fourier_multiplier(f, np.exp(1j * f.grid.xi**3 * t))
 
 
 def riesz_potential(f: Field, theta: float) -> Field:
     """|xi|^theta multiplier, (-d_x^2)^(theta/2)."""
     if theta <= 0:
         raise ValueError(f"theta must be positive, got {theta}")
-    F = forward_transform(f)
-    return inverse_transform(SpectralField(f.grid, np.abs(f.grid.xi) ** theta * F.coefficients))
+    return fourier_multiplier(f, np.abs(f.grid.xi) ** theta)
 
 
 def _signed_support(coef: np.ndarray) -> np.ndarray:

@@ -17,7 +17,14 @@ import numpy as np
 import pytest
 from scipy.stats import kendalltau
 
-from mkdvlab.illposed import ExperimentPlan, fit_exponent, run_sweep, verify_lemma
+from mkdvlab.illposed import (
+    AGREEMENT_TOL,
+    DIFF_FLOOR,
+    ExperimentPlan,
+    fit_exponent,
+    run_sweep,
+    verify_lemma,
+)
 from mkdvlab.norms import (
     fourier_lebesgue_norm,
     modulation_norm,
@@ -36,7 +43,7 @@ from mkdvlab.probes import (
     _band_limit,
 )
 from mkdvlab.solitons import SolitonParams, pair_overlap, soliton_field, soliton_modulation_norm
-from mkdvlab.solver import SolverConfig, evolve_final, invariants
+from mkdvlab.solver import SolverConfig, evolve, invariants
 from mkdvlab.spectral import (
     Field,
     GridSpec,
@@ -75,7 +82,7 @@ class TestCriterion1SolitonExactness:
         params = SolitonParams(carrier=2.0, scale=1.0)
         u0 = soliton_field(params, 0.0, grid)
         t0 = time.perf_counter()
-        got = evolve_final(u0, 1.0, SolverConfig(dt=1e-4))
+        got = evolve(u0, 1.0, SolverConfig(dt=1e-4)).final
         elapsed = time.perf_counter() - t0
         err = rel_l2(got, soliton_field(params, 1.0, grid))
         ok = err <= 1e-6 and elapsed <= 60.0
@@ -90,7 +97,7 @@ class TestCriterion2Conservation:
         params = SolitonParams(carrier=2.0, scale=1.0)
         u0 = soliton_field(params, 0.0, grid)
         sol_drift = abs(
-            invariants(evolve_final(u0, 1.0, SolverConfig(dt=5e-4)))["mass"]
+            invariants(evolve(u0, 1.0, SolverConfig(dt=5e-4)).final)["mass"]
             - invariants(u0)["mass"]
         ) / invariants(u0)["mass"]
 
@@ -105,13 +112,13 @@ class TestCriterion2Conservation:
         f = inverse_transform(SpectralField(g2, coef))
         f = Field(g2, 0.3 / np.max(np.abs(f.values)) * f.values)
         rand_drift = abs(
-            invariants(evolve_final(f, 1.0, SolverConfig(dt=5e-4)))["mass"]
+            invariants(evolve(f, 1.0, SolverConfig(dt=5e-4)).final)["mass"]
             - invariants(f)["mass"]
         ) / invariants(f)["mass"]
 
         errors = []
         for dt in (2e-3, 1e-3):
-            got = evolve_final(u0, 0.1, SolverConfig(dt=dt))
+            got = evolve(u0, 0.1, SolverConfig(dt=dt)).final
             errors.append(rel_l2(got, soliton_field(params, 0.1, grid)))
         richardson = errors[0] / errors[1]
 
@@ -217,13 +224,13 @@ class TestCriterion4NonnegRegime:
     def test_4b_extended_range_grid_check(self):
         # the two-pipeline twin of the reference above: every point of
         # 2^10..2^14 is re-measured on a carrier-centred grid and must agree
-        # with the quadrature within agreement_tol
+        # with the quadrature within AGREEMENT_TOL
         plan = ExperimentPlan(
             s=0.125, p=4.0, t_final=1.0,
             carriers=tuple(float(2**k) for k in range(10, 15)),
             theta=0.125, grid_check=True,
         )
-        assert plan.agreement_tol == 1e-4
+        assert AGREEMENT_TOL == 1e-4
         records = run_sweep(plan)
         fit = fit_exponent(records, "diff0")
         worst = max(
@@ -238,12 +245,12 @@ class TestCriterion4NonnegRegime:
             f"slope {fit.slope:+.4f}, worst grid/quadrature gap {worst:.1e}",
         )
         assert ok
-        assert worst <= plan.agreement_tol
+        assert worst <= AGREEMENT_TOL
 
     def test_4c_difft_floor_and_runtime(self, nonneg_sweep):
         plan, records, elapsed = nonneg_sweep
         verdict = verify_lemma(records, plan)
-        floor = plan.diff_floor * verdict.norm_median
+        floor = DIFF_FLOOR * verdict.norm_median
         ok = verdict.difft_floor_ok and elapsed <= 300.0
         report(
             "criterion 4c (diffT floor + runtime)",

@@ -257,6 +257,14 @@ class TestCliIllposed:
         assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
         assert (out1 / "verdict.json").read_bytes() == (out2 / "verdict.json").read_bytes()
 
+    def test_zero_jobs_exits_2_with_one_line(self, tmp_path, capsys):
+        cfg = self.make_cfg(tmp_path)
+        out = tmp_path / "o"
+        rc = main(["illposed", "--config", cfg, "--out", str(out), "--jobs", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err == "config error: jobs must be >= 1, got 0\n"
+        assert not out.exists()
+
     def test_boundary_s_refused(self, tmp_path, capsys):
         cfg = self.make_cfg(tmp_path, s="0.25")
         rc = main(["illposed", "--config", cfg, "--out", str(tmp_path / "o")])

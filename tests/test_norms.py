@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from mkdvlab import norms
 from mkdvlab.norms import (
-    NormParams,
     SpaceTimeField,
     cos2_taper,
     free_evolution,
@@ -36,16 +35,6 @@ INF = math.inf
 
 def spectrum_field(grid, fn):
     return inverse_transform(SpectralField(grid, fn(grid.xi).astype(complex)))
-
-
-class TestNormParams:
-    def test_rejects_p_below_one(self):
-        with pytest.raises(ValueError):
-            NormParams(s=0.25, p=0.5)
-
-    def test_holds_optional_b_eps(self):
-        np_ = NormParams(s=0.25, p=4.0, b=0.5, eps=0.01)
-        assert np_.b == 0.5
 
 
 class TestSobolev:

@@ -10,7 +10,6 @@ from scipy.stats import kendalltau
 from mkdvlab.norms import modulation_norm
 from mkdvlab.solitons import (
     SolitonParams,
-    ground_state,
     pair_overlap,
     sech,
     soliton_field,
@@ -34,16 +33,16 @@ def grid():
 
 class TestGroundState:
     def test_peak_value(self):
-        assert ground_state(0.0) == pytest.approx(1.0)
+        assert sech(0.0) == pytest.approx(1.0)
 
     def test_even(self):
         x = np.array([0.3, 1.7, 4.0])
-        assert np.allclose(ground_state(x), ground_state(-x), rtol=1e-15)
+        assert np.allclose(sech(x), sech(-x), rtol=1e-15)
 
     @pytest.mark.parametrize("x", [0.0, 1.0, -1.0, 3.0, -3.0])
     def test_ode_residual(self, x):
         # -Q + Q'' + 2 Q^3 with Q'' = Q - 2 Q^3 from the closed form
-        q = ground_state(x)
+        q = sech(x)
         qpp = q - 2.0 * q**3
         assert abs(-q + qpp + 2.0 * q**3) <= 1e-12
 

@@ -16,7 +16,6 @@ from mkdvlab.solver import (
     _ifft_kernel,
     _scaled_mass,
     evolve,
-    evolve_final,
     invariants,
     nonlinearity,
     step,
@@ -96,7 +95,7 @@ class TestStep:
         errors = []
         for dt in (2e-3, 1e-3):
             cfg = SolverConfig(dt=dt)
-            got = evolve_final(u0, horizon, cfg)
+            got = evolve(u0, horizon, cfg).final
             exact = soliton_field(params, horizon, grid)
             errors.append(rel_l2_error(got, exact))
         ratio = errors[0] / errors[1]
@@ -114,28 +113,37 @@ class TestEvolve:
         grid = GridSpec(length=128.0, points=4096)
         params = SolitonParams(carrier=2.0, scale=1.0)
         u0 = soliton_field(params, 0.0, grid)
-        got = evolve_final(u0, 0.25, SolverConfig(dt=2e-4))
+        got = evolve(u0, 0.25, SolverConfig(dt=2e-4)).final
         exact = soliton_field(params, 0.25, grid)
         assert rel_l2_error(got, exact) <= 1e-7
 
     def test_zero_data_stays_zero(self, grid):
-        out = evolve(Field.zero(grid), 0.1, SolverConfig(dt=1e-2), record_every=5)
+        out = evolve(Field.zero(grid), 0.1, SolverConfig(dt=1e-2), record_every=5).trajectory
         assert np.max(np.abs(out.samples)) == 0.0
 
     def test_time_reversibility(self, grid):
         f0 = small_random_field(grid, seed=5, amplitude=0.2)
-        fwd = evolve_final(f0, 1.0, SolverConfig(dt=5e-4))
-        back = evolve_final(fwd, -1.0, SolverConfig(dt=-5e-4))
+        fwd = evolve(f0, 1.0, SolverConfig(dt=5e-4)).final
+        back = evolve(fwd, -1.0, SolverConfig(dt=-5e-4)).final
         assert rel_l2_error(back, f0) <= 1e-8
 
     def test_trajectory_layout(self, grid):
         f0 = small_random_field(grid, seed=2)
-        out = evolve(f0, 0.08, SolverConfig(dt=1e-3), record_every=10)
+        out = evolve(f0, 0.08, SolverConfig(dt=1e-3), record_every=10).trajectory
         assert out.n_times == 8
         assert out.t_window == pytest.approx(0.08)
         assert np.allclose(out.times, 0.01 * np.arange(8))
         # first snapshot is the (band-limited) initial data
         assert np.max(np.abs(out.samples[0] - f0.values)) < 1e-12
+
+    def test_recording_leaves_the_final_state_bit_identical(self, grid):
+        f0 = small_random_field(grid, seed=4, amplitude=0.3)
+        cfg = SolverConfig(dt=1e-3)
+        plain = evolve(f0, 0.064, cfg)
+        recorded = evolve(f0, 0.064, cfg, record_every=8)
+        assert plain.trajectory is None
+        assert recorded.trajectory.n_times == 8
+        assert np.array_equal(recorded.final.values, plain.final.values)
 
     def test_rejects_bad_record_every(self, grid):
         f0 = small_random_field(grid)
@@ -147,12 +155,12 @@ class TestEvolve:
     def test_rejects_incommensurate_horizon(self, grid):
         f0 = small_random_field(grid)
         with pytest.raises(ValueError, match="whole number"):
-            evolve_final(f0, 0.1, SolverConfig(dt=3e-3))
+            evolve(f0, 0.1, SolverConfig(dt=3e-3)).final
 
     def test_evolution_deterministic(self, grid):
         f0 = small_random_field(grid, seed=12, amplitude=0.2)
-        a = evolve_final(f0, 0.2, SolverConfig(dt=1e-3))
-        b = evolve_final(f0, 0.2, SolverConfig(dt=1e-3))
+        a = evolve(f0, 0.2, SolverConfig(dt=1e-3)).final
+        b = evolve(f0, 0.2, SolverConfig(dt=1e-3)).final
         assert np.array_equal(a.values, b.values)
 
     def test_mass_drift_guard_trips(self, grid):
@@ -160,7 +168,7 @@ class TestEvolve:
         f0 = small_random_field(grid, seed=9, amplitude=0.5)
         cfg = SolverConfig(dt=1e-3, mass_tol=1e-18)
         with pytest.raises(MassDriftError, match="drift"):
-            evolve_final(f0, 0.5, cfg)
+            evolve(f0, 0.5, cfg).final
 
 
 class TestTrajectoryNorms:
@@ -170,7 +178,7 @@ class TestTrajectoryNorms:
         from mkdvlab.norms import sobolev_norm, xsb_norm
 
         f0 = small_random_field(grid, seed=3, amplitude=1e-7, max_xi=4.0)
-        traj = evolve(f0, 1.0, SolverConfig(dt=1.0 / 1024), record_every=32)
+        traj = evolve(f0, 1.0, SolverConfig(dt=1.0 / 1024), record_every=32).trajectory
         assert traj.n_times == 32  # resolves |xi|^3 <= 64 against tau_max = 32 pi
         eta_l2 = np.sqrt(np.sum(traj.cutoff**2) * traj.dt)
         assert xsb_norm(traj, 0.0, 0.0) == pytest.approx(
@@ -190,7 +198,7 @@ class TestInvariants:
         grid = GridSpec(length=64.0, points=512)
         f0 = small_random_field(grid, seed=7, amplitude=0.3)
         before = invariants(f0)
-        after = invariants(evolve_final(f0, 1.0, SolverConfig(dt=5e-4)))
+        after = invariants(evolve(f0, 1.0, SolverConfig(dt=5e-4)).final)
         assert abs(after["mass"] - before["mass"]) <= 1e-9 * before["mass"]
         assert abs(after["momentum"] - before["momentum"]) <= 1e-9 * (
             abs(before["momentum"]) + before["mass"]
@@ -208,10 +216,10 @@ class TestScalingSymmetry:
         params = SolitonParams(carrier=2.0, scale=1.0)
         u0 = soliton_field(params, 0.0, g1)
         horizon, dt = 0.25, 5e-4
-        u_t = evolve_final(u0, horizon, SolverConfig(dt=dt))
+        u_t = evolve(u0, horizon, SolverConfig(dt=dt)).final
 
         v0 = Field(g2, u0.values / lam)
-        v_t = evolve_final(v0, horizon * lam**3, SolverConfig(dt=dt * lam**3))
+        v_t = evolve(v0, horizon * lam**3, SolverConfig(dt=dt * lam**3)).final
 
         expected = Field(g2, u_t.values / lam)
         assert rel_l2_error(v_t, expected) <= 1e-6
@@ -275,7 +283,7 @@ class TestWorkspaceMatchesReference:
             want = reference_rk4(want, small_grid, dt, sign)
             got = ws.rk4(got, True)
             assert np.array_equal(got, want)
-        final = evolve_final(f0, n_steps * dt, SolverConfig(dt=dt, sign=sign))
+        final = evolve(f0, n_steps * dt, SolverConfig(dt=dt, sign=sign)).final
         assert np.array_equal(final.values, np.fft.ifft(want))
 
     @pytest.mark.parametrize("sign", [1, -1])
@@ -408,7 +416,7 @@ class TestMassGuardScaling:
             assert float(np.sum(np.abs(f0.values) ** 2)) in (0.0, math.inf)
         monkeypatch.setattr(_Workspace, "rk4", lambda self, a, check_cfl: 1.001 * a)
         with pytest.raises(MassDriftError, match="drift"):
-            evolve_final(f0, 0.016, SolverConfig(dt=1e-3))
+            evolve(f0, 0.016, SolverConfig(dt=1e-3)).final
 
     def test_drift_ratio_bit_identical_for_normal_masses(self, small_grid):
         ws = _Workspace(small_grid, 5e-3, 1)

@@ -7,22 +7,26 @@ from scipy.integrate import quad
 from mkdvlab.io import write_field, write_trajectory
 from mkdvlab.norms import SpaceTimeField, cube_l2_profile, modulation_norm
 from mkdvlab.solitons import SolitonParams, soliton_field
-from mkdvlab.solver import SolverConfig, evolve_final, nonlinearity, step
+from mkdvlab.solver import SolverConfig, evolve, nonlinearity, step
 from mkdvlab.spectral import (
     Field,
     GridSpec,
     OffsetGridError,
     ResolutionError,
     SpectralField,
+    _coefficients,
+    _samples,
     airy_propagator,
     cos2_window,
     derivative,
+    dyadic_mask,
     forward_transform,
+    fourier_multiplier,
     inverse_transform,
     littlewood_paley,
     quartic_window,
     riesz_bilinear,
-    spatial_derivative,
+    riesz_potential,
     unit_cube_project,
 )
 
@@ -178,9 +182,8 @@ class TestDerivative:
         assert np.max(np.abs(d.values - expected)) < 1e-8
 
     def test_rejects_negative_order(self, small_grid):
-        F = forward_transform(Field.zero(small_grid))
         with pytest.raises(ValueError):
-            spatial_derivative(F, -1)
+            derivative(Field.zero(small_grid), -1)
 
 
 class TestLittlewoodPaley:
@@ -539,7 +542,7 @@ class TestOffsetGrid:
         refusals = [
             lambda: nonlinearity(u),
             lambda: step(u, 1e-4, SolverConfig(dt=1e-4)),
-            lambda: evolve_final(u, 1e-3, SolverConfig(dt=1e-4)),
+            lambda: evolve(u, 1e-3, SolverConfig(dt=1e-4)).final,
             lambda: riesz_bilinear(0.5, u, u),
             lambda: Field.from_function(g, np.cos),
             lambda: write_field(tmp_path / "f.bin", u),
@@ -551,3 +554,44 @@ class TestOffsetGrid:
             with pytest.raises(OffsetGridError, match="needs an offset-0 grid"):
                 refused()
         assert not list(tmp_path.iterdir())
+
+
+class TestOneConvention:
+    """Every multiplier and the (K, M) pair follow the one dx-weighted convention."""
+
+    # dx = 100 / 512 is not a power of two, so scaling by dx rounds
+    grid = GridSpec(length=100.0, points=512)
+
+    def multipliers(self):
+        xi = self.grid.xi
+        return [
+            (lambda f: derivative(f, 2), (1j * xi) ** 2),
+            (lambda f: littlewood_paley(f, 4.0), dyadic_mask(xi, 4.0)),
+            (lambda f: unit_cube_project(f, 3), cos2_window(xi - 3)),
+            (lambda f: airy_propagator(f, 0.3), np.exp(1j * xi**3 * 0.3)),
+            (lambda f: riesz_potential(f, 0.5), np.abs(xi) ** 0.5),
+        ]
+
+    def test_operators_are_their_multiplier(self):
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal(self.grid.points) + 1j * rng.standard_normal(self.grid.points)
+        f = Field(self.grid, z)
+        for op, symbol in self.multipliers():
+            want = inverse_transform(
+                SpectralField(self.grid, symbol * forward_transform(f).coefficients)
+            ).values
+            assert np.array_equal(fourier_multiplier(f, symbol).values, want)
+            assert np.array_equal(op(f).values, want)
+
+    @pytest.mark.parametrize("length, points, k", [(64.0, 256, 1024), (100.0, 512, 16), (128.0, 4096, 4)])
+    def test_pair_rows_match_field_transforms(self, length, points, k):
+        g = GridSpec(length=length, points=points)
+        rng = np.random.default_rng(points + k)
+        stack = rng.standard_normal((k, points)) + 1j * rng.standard_normal((k, points))
+        coef = _coefficients(stack, g)
+        back = _samples(coef, g)
+        for row in range(k):
+            assert np.array_equal(coef[row], forward_transform(Field(g, stack[row])).coefficients)
+            assert np.array_equal(
+                back[row], inverse_transform(SpectralField(g, coef[row])).values
+            )
