@@ -40,6 +40,7 @@ from .solitons import (
     pair_difference_modsq,
     pair_overlap,
     soliton_field,
+    soliton_modsq,
     soliton_modulation_norm,
     soliton_spectrum,
     soliton_spectrum_at_time,

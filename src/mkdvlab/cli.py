@@ -173,9 +173,8 @@ def cmd_solve(cfg: dict, out: Path, seed: int | None) -> int:
             scale=_as_float(cfg, "soliton_scale"),
         )
         exact = soliton_field(params, t_final, grid)
-        err = np.sqrt(np.sum(np.abs(final.values - exact.values) ** 2) * grid.dx)
-        ref = np.sqrt(np.sum(np.abs(exact.values) ** 2) * grid.dx)
-        print(f"final relative L2 error vs exact soliton: {err / ref:.3e}")
+        err = Field(grid, final.values - exact.values).l2_norm() / exact.l2_norm()
+        print(f"final relative L2 error vs exact soliton: {err:.3e}")
     print(f"solve: wrote {traj.n_times} snapshots to {out}")
     return 0
 

@@ -29,7 +29,7 @@ from .solitons import (
     modulation_norm_of_spectrum,
     pair_difference_modsq,
     soliton_field,
-    soliton_spectrum,
+    soliton_modsq,
     spectral_support_halfwidth,
 )
 from .solver import SolverConfig, evolve
@@ -243,9 +243,7 @@ def _solver_cross_check(params: SolitonParams, t_final: float, grid: GridSpec) -
     n_steps = max(64, math.ceil(t_final / min(dt_cfl, dt_acc)))
     got = evolve(u0, t_final, SolverConfig(dt=t_final / n_steps, mass_tol=1e-7)).final
     exact = soliton_field(params, t_final, grid)
-    num = np.sqrt(np.sum(np.abs(got.values - exact.values) ** 2) * grid.dx)
-    den = np.sqrt(np.sum(np.abs(exact.values) ** 2) * grid.dx)
-    return float(num / den)
+    return Field(grid, got.values - exact.values).l2_norm() / exact.l2_norm()
 
 
 def run_point(plan: ExperimentPlan, n: float) -> ExperimentRecord:
@@ -258,17 +256,10 @@ def run_point(plan: ExperimentPlan, n: float) -> ExperimentRecord:
     n_lo = int(np.floor(choice.n1 - hw))
     n_hi = int(np.ceil(choice.n2 + hw))
     s, p = plan.s, plan.p
-
-    def modsq_single(params):
-        def modsq(xi):
-            return soliton_spectrum(params, xi) ** 2
-
-        return modsq
-
     norm_u, n_values, masses_u = modulation_norm_of_spectrum(
-        modsq_single(pa), s, p, n_lo, n_hi
+        soliton_modsq(pa), s, p, n_lo, n_hi
     )
-    norm_v, _, _ = modulation_norm_of_spectrum(modsq_single(pb), s, p, n_lo, n_hi)
+    norm_v, _, _ = modulation_norm_of_spectrum(soliton_modsq(pb), s, p, n_lo, n_hi)
     diff0, _, _ = modulation_norm_of_spectrum(
         pair_difference_modsq(pa, pb, 0.0), s, p, n_lo, n_hi
     )

@@ -145,10 +145,10 @@ def modulation_norm(f: Field, s: float, p: float, window=cos2_window) -> float:
 # Space-time fields and X^{s,b}-type norms
 # ---------------------------------------------------------------------------
 
-def cos2_taper(times: np.ndarray, t_window: float, shoulder: float = 0.1) -> np.ndarray:
-    """Temporal cutoff: cos^2 ramps over the first and last `shoulder` fraction."""
+def cos2_taper(times: np.ndarray, t_window: float) -> np.ndarray:
+    """Temporal cutoff: cos^2 ramps over the first and last 10% of the window."""
     t = np.asarray(times, dtype=float)
-    w = shoulder * t_window
+    w = 0.1 * t_window
     eta = np.ones_like(t)
     lo = t < w
     hi = t > t_window - w

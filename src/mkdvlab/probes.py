@@ -37,6 +37,7 @@ from .spectral import (
     SpectralField,
     _coefficients,
     _samples,
+    _scaled_squares,
     fourier_multiplier,
     inverse_transform,
     littlewood_paley,
@@ -67,6 +68,11 @@ CORPUS_SIZE = 200
 CORPUS_GRID = GridSpec(length=64.0, points=256)
 CORPUS_T_WINDOW = 1.0
 CORPUS_N_TIMES = 256
+
+#: seed of the rng stream that pairs the corpus (cube pairs, sparse sequences)
+PAIRING_SEED = 1
+#: calibration constants are the measured maxima times this factor
+CALIBRATION_HEADROOM = 1.01
 
 
 @dataclass(frozen=True)
@@ -123,51 +129,37 @@ def resonance_max_deviation(n_samples: int = 1_000_000, seed: int = 0) -> float:
 # ---------------------------------------------------------------------------
 
 def _st_l2(samples: np.ndarray, grid: GridSpec, dt: float) -> float:
-    return float(np.sqrt(np.sum(np.abs(samples) ** 2) * grid.dx * dt))
+    a2, e = _scaled_squares(samples)
+    return math.ldexp(float(np.sqrt(np.sum(a2) * grid.dx * dt)), e)
+
+
+def _bilinear_ratio(pu: Field, pv: Field, eps: float, n_times: int, divisor: float) -> float:
+    """||U V||_{L^2_{x,t}} of the free evolutions against X^{0,1/2+eps} norms / divisor."""
+    fu = free_evolution(pu, CORPUS_T_WINDOW, n_times)
+    fv = free_evolution(pv, CORPUS_T_WINDOW, n_times)
+    num = _st_l2(fu.windowed_samples() * fv.windowed_samples(), pu.grid, fu.dt)
+    den = xsb_norm(fu, 0.0, 0.5 + eps) * xsb_norm(fv, 0.0, 0.5 + eps) / divisor
+    return 0.0 if den == 0.0 else num / den
 
 
 def bilinear_ratio_cube(
-    u: Field,
-    v: Field,
-    m: int,
-    n: int,
-    eps: float = 0.05,
-    t_window: float = CORPUS_T_WINDOW,
-    n_times: int = CORPUS_N_TIMES,
+    u: Field, v: Field, m: int, n: int, eps: float = 0.05, n_times: int = CORPUS_N_TIMES
 ) -> float:
     """||Pi_m U Pi_n V||_{L^2_{x,t}} against the |m+n||m-n|^{-1/2}-weighted bound."""
     if abs(m + n) < 2 or abs(m - n) < 2:
         raise ValueError(f"cube pair needs |m+n|, |m-n| >= 2, got m={m}, n={n}")
     pu = unit_cube_project(u, m)
     pv = unit_cube_project(v, n)
-    fu = free_evolution(pu, t_window, n_times)
-    fv = free_evolution(pv, t_window, n_times)
-    num = _st_l2(fu.windowed_samples() * fv.windowed_samples(), u.grid, fu.dt)
-    den_u = xsb_norm(fu, 0.0, 0.5 + eps)
-    den_v = xsb_norm(fv, 0.0, 0.5 + eps)
-    den = den_u * den_v / math.sqrt(abs(m + n) * abs(m - n))
-    return 0.0 if den == 0.0 else num / den
+    return _bilinear_ratio(pu, pv, eps, n_times, math.sqrt(abs(m + n) * abs(m - n)))
 
 
 def bilinear_ratio_lp(
-    u: Field,
-    v: Field,
-    n1: float,
-    n2: float,
-    eps: float = 0.05,
-    t_window: float = CORPUS_T_WINDOW,
-    n_times: int = CORPUS_N_TIMES,
+    u: Field, v: Field, n1: float, n2: float, eps: float = 0.05, n_times: int = CORPUS_N_TIMES
 ) -> float:
     """||P_{N1} U P_{N2} V||_{L^2_{x,t}} against the N1^{-1}-weighted bound."""
     if n1 < 4 * n2:
         raise ValueError(f"separated dyadics required: N1 >= 4 N2, got {n1}, {n2}")
-    pu = littlewood_paley(u, n1)
-    pv = littlewood_paley(v, n2)
-    fu = free_evolution(pu, t_window, n_times)
-    fv = free_evolution(pv, t_window, n_times)
-    num = _st_l2(fu.windowed_samples() * fv.windowed_samples(), u.grid, fu.dt)
-    den = xsb_norm(fu, 0.0, 0.5 + eps) * xsb_norm(fv, 0.0, 0.5 + eps) / n1
-    return 0.0 if den == 0.0 else num / den
+    return _bilinear_ratio(littlewood_paley(u, n1), littlewood_paley(v, n2), eps, n_times, n1)
 
 
 def _spatial_derivative_samples(traj: SpaceTimeField) -> np.ndarray:
@@ -182,7 +174,6 @@ def trilinear_ratio(
     s: float,
     p: float,
     eps: float = 0.01,
-    t_window: float = CORPUS_T_WINDOW,
     n_times: int = CORPUS_N_TIMES,
 ) -> tuple[float, bool]:
     """Ratio for the key trilinear bound: u1 conj(u2) d_x u3 in X^{s,-1/2+2eps}_p.
@@ -194,15 +185,15 @@ def trilinear_ratio(
     on top, a fixed convention absorbed by the calibration constants.
     """
     out_of_range = not (s >= 0.25 and 2.0 <= p < math.inf)
-    f1 = free_evolution(u1, t_window, n_times)
-    f2 = free_evolution(u2, t_window, n_times)
-    f3 = free_evolution(u3, t_window, n_times)
+    f1 = free_evolution(u1, CORPUS_T_WINDOW, n_times)
+    f2 = free_evolution(u2, CORPUS_T_WINDOW, n_times)
+    f3 = free_evolution(u3, CORPUS_T_WINDOW, n_times)
     product = (
         f1.windowed_samples()
         * np.conj(f2.windowed_samples())
         * (f3.cutoff[:, None] * _spatial_derivative_samples(f3))
     )
-    w = SpaceTimeField(u1.grid, t_window, product)
+    w = SpaceTimeField(u1.grid, CORPUS_T_WINDOW, product)
     num = xsb_p_norm(w, s, -0.5 + 2.0 * eps, p)
     den = (
         xsb_p_norm(f1, s, 0.5 + eps, p)
@@ -284,12 +275,9 @@ def apriori_tracking(
 # Frozen corpus and calibration
 # ---------------------------------------------------------------------------
 
-def make_probe_corpus(
-    seed: int = CORPUS_SEED,
-    size: int = CORPUS_SIZE,
-    grid: GridSpec = CORPUS_GRID,
-) -> list[Field]:
-    """Random band-limited fields with varied envelopes, unit L^2 mass."""
+def make_probe_corpus(seed: int = CORPUS_SEED, size: int = CORPUS_SIZE) -> list[Field]:
+    """Random band-limited fields on CORPUS_GRID with varied envelopes, unit L^2 mass."""
+    grid = CORPUS_GRID
     rng = np.random.default_rng(seed)
     fields = []
     for _ in range(size):
@@ -355,62 +343,57 @@ def _cube_layout(size: int, rng) -> list[tuple[int, int, int]]:
     return [(i, *_cube_pairs(rng)) for i in _cube_indices(size)]
 
 
-def _probe_bilinear_cube(fields: list[Field], rng) -> dict:
+def _reduce(pairs) -> dict:
+    """Max, argmax label and count over (ratio, label) pairs; the first maximum wins."""
     worst, arg, count = 0.0, "", 0
-    for i, m, n in _cube_layout(len(fields), rng):
-        r = bilinear_ratio_cube(fields[i], fields[i + 1], m, n)
+    for r, label in pairs:
         count += 1
         if r > worst:
-            worst, arg = r, f"fields ({i},{i + 1}), cubes ({m},{n})"
+            worst, arg = r, label
     return {"max": worst, "argmax": arg, "count": count}
+
+
+def _probe_bilinear_cube(fields: list[Field], rng) -> dict:
+    return _reduce(
+        (bilinear_ratio_cube(fields[i], fields[i + 1], m, n),
+         f"fields ({i},{i + 1}), cubes ({m},{n})")
+        for i, m, n in _cube_layout(len(fields), rng)
+    )
 
 
 def _probe_bilinear_lp(fields: list[Field], rng) -> dict:
-    worst, arg, count = 0.0, "", 0
     lp_pairs = [(8.0, 1.0), (8.0, 2.0), (4.0, 1.0)]
-    for i in _lp_indices(len(fields)):
-        n1, n2 = lp_pairs[(i // 2) % len(lp_pairs)]
-        r = bilinear_ratio_lp(fields[i], fields[i + 1], n1, n2)
-        count += 1
-        if r > worst:
-            worst, arg = r, f"fields ({i},{i + 1}), dyadics ({n1},{n2})"
-    return {"max": worst, "argmax": arg, "count": count}
+    layout = [(i, *lp_pairs[(i // 2) % len(lp_pairs)]) for i in _lp_indices(len(fields))]
+    return _reduce(
+        (bilinear_ratio_lp(fields[i], fields[i + 1], n1, n2),
+         f"fields ({i},{i + 1}), dyadics ({n1},{n2})")
+        for i, n1, n2 in layout
+    )
 
 
 def _probe_trilinear(fields: list[Field], rng) -> dict:
     size = len(fields)
-    worst, arg = 0.0, ""
-    ratios = []
+    pairs = []
     for i in _trilinear_indices(size):
+        js = (i, (i + 7) % size, (i + 23) % size)
         # inputs capped to |xi| <= 4 so the cubic product stays temporally resolvable
-        trip = tuple(
-            _band_limit(fields[j], 4.0) for j in (i, (i + 7) % size, (i + 23) % size)
-        )
+        trip = [_band_limit(fields[j], 4.0) for j in js]
         r, _ = trilinear_ratio(*trip, s=0.25, p=4.0, n_times=1024)
-        ratios.append(r)
-        if r > worst:
-            worst, arg = r, f"fields ({i},{(i + 7) % size},{(i + 23) % size})"
-    return {
-        "max": worst,
-        "argmax": arg,
-        "count": len(ratios),
-        "median": float(np.median(ratios)),
-    }
+        pairs.append((r, "fields ({},{},{})".format(*js)))
+    return {**_reduce(pairs), "median": float(np.median([r for r, _ in pairs]))}
 
 
-def _probe_convolution(fields: list[Field], rng) -> dict:
-    # the block family 1_{[1,K]} carries the K log K / K growth and dominates
-    # the sparse families; the calibration constant must cover it
-    worst, arg, count = 0.0, "", 0
+def _convolution_ratios(rng):
+    """(ratio, label) of the block sequences 1_{[1,K]}, then of 3000 sparse pairs.
+
+    The block family carries the K log K / K growth and dominates the sparse
+    families; the calibration constant must cover it.  A sparse pair with an
+    all-zero sequence is skipped.
+    """
     for k_len in (64, 256, 1024, 4096):
         a = np.ones(k_len)
-        lhs, _ = convolution_inequality_check(
-            a, a, eps=0.1, p=2.0, c_eps=1.0, n0_a=1, n0_b=1
-        )
-        r = lhs / k_len
-        count += 1
-        if r > worst:
-            worst, arg = r, f"block [1, {k_len}]"
+        lhs, _ = convolution_inequality_check(a, a, eps=0.1, p=2.0, c_eps=1.0, n0_a=1, n0_b=1)
+        yield lhs / k_len, f"block [1, {k_len}]"
     for k in range(3000):
         a = np.maximum(rng.standard_normal(64), 0.0)
         b = np.maximum(rng.standard_normal(64), 0.0)
@@ -419,23 +402,20 @@ def _probe_convolution(fields: list[Field], rng) -> dict:
         if not a.any() or not b.any():
             continue
         lhs, _ = convolution_inequality_check(a, b, eps=0.1, p=2.0, c_eps=1.0)
-        den = float(np.sqrt(np.sum(a**2)) * np.sqrt(np.sum(b**2)))
-        r = lhs / den
-        count += 1
-        if r > worst:
-            worst, arg = r, f"sparse pair #{k}"
-    return {"max": worst, "argmax": arg, "count": count}
+        yield lhs / float(np.sqrt(np.sum(a**2)) * np.sqrt(np.sum(b**2))), f"sparse pair #{k}"
+
+
+def _probe_convolution(fields: list[Field], rng) -> dict:
+    return _reduce(_convolution_ratios(rng))
 
 
 def _probe_xsb_free_evolution(fields: list[Field], rng) -> dict:
-    worst, arg, count = 0.0, "", 0
-    for i in range(0, len(fields), max(len(fields) // 20, 1)):
-        fe = free_evolution(fields[i], CORPUS_T_WINDOW, CORPUS_N_TIMES)
-        r = xsb_norm(fe, 0.25, 0.51) / sobolev_norm(fields[i], 0.25)
-        count += 1
-        if r > worst:
-            worst, arg = r, f"field {i}"
-    return {"max": worst, "argmax": arg, "count": count}
+    def ratio(f: Field) -> float:
+        fe = free_evolution(f, CORPUS_T_WINDOW, CORPUS_N_TIMES)
+        return xsb_norm(fe, 0.25, 0.51) / sobolev_norm(f, 0.25)
+
+    step = max(len(fields) // 20, 1)
+    return _reduce((ratio(fields[i]), f"field {i}") for i in range(0, len(fields), step))
 
 
 #: probe families in measurement order; each takes (fields, shared rng)
@@ -459,7 +439,7 @@ def _min_corpus_size(name: str) -> int:
     return next(n for n in itertools.count(1) if len(_LAYOUTS[name](n)))
 
 
-def _measure(fields: list[Field], families=None, seed: int = 1) -> dict:
+def _measure(fields: list[Field], families=None) -> dict:
     """Raw maxima of the named probe families over the corpus pairing.
 
     Only the named families run (default: every family in the registry,
@@ -468,7 +448,7 @@ def _measure(fields: list[Field], families=None, seed: int = 1) -> dict:
     shared, so the cube pairs are drawn even when ``bilinear_cube`` does not
     run, and ``convolution`` sees the draws it was calibrated on.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PAIRING_SEED)
     wanted = _FAMILIES.keys() if families is None else set(families)
     out: dict[str, dict] = {}
     for name, family in _FAMILIES.items():
@@ -479,7 +459,7 @@ def _measure(fields: list[Field], families=None, seed: int = 1) -> dict:
     return out
 
 
-def calibrate(headroom: float = 1.01) -> dict:
+def calibrate() -> dict:
     """Regenerate the calibration document from the frozen corpus."""
     fields = make_probe_corpus()
     measured = _measure(fields)
@@ -493,7 +473,7 @@ def calibrate(headroom: float = 1.01) -> dict:
             "n_times": CORPUS_N_TIMES,
             "sha256": corpus_hash(fields),
         },
-        "constants": {name: headroom * info["max"] for name, info in measured.items()},
+        "constants": {name: CALIBRATION_HEADROOM * info["max"] for name, info in measured.items()},
         "measured": measured,
     }
 

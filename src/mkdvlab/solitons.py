@@ -36,6 +36,7 @@ __all__ = [
     "soliton_time_derivative",
     "soliton_spectrum",
     "soliton_spectrum_at_time",
+    "soliton_modsq",
     "soliton_modulation_norm",
     "modulation_norm_of_spectrum",
     "cube_window_quadrature",
@@ -46,6 +47,9 @@ __all__ = [
 #: sech argument beyond which the value underflows to 0 anyway
 _SECH_CLIP = 700.0
 
+#: relative change of every cube at which the quadrature stops doubling
+QUAD_REL_TOL = 1e-9
+
 
 def sech(x):
     """Overflow-safe sech."""
@@ -54,19 +58,16 @@ def sech(x):
 
 @dataclass(frozen=True)
 class SolitonParams:
-    """Carrier frequency, spatial scale, and (focusing) sign of one soliton."""
+    """Carrier frequency and spatial scale of one (focusing) soliton."""
 
     carrier: float
     scale: float
-    sign: int = 1
 
     def __post_init__(self) -> None:
         if not self.carrier > 0:
             raise ValueError(f"carrier must be positive, got {self.carrier}")
         if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
-        if self.sign != 1:
-            raise ValueError("only the focusing family (+ sign) is supported")
 
     @property
     def mass(self) -> float:
@@ -150,6 +151,15 @@ def soliton_spectrum(params: SolitonParams, xi) -> np.ndarray:
     return (np.pi / math.sqrt(6.0)) * sech(np.pi * (np.asarray(xi, float) - n) / (2.0 * lam))
 
 
+def soliton_modsq(params: SolitonParams):
+    """|u_hat(xi)|^2 of the soliton as a function of xi arrays (t-independent)."""
+
+    def modsq(xi):
+        return soliton_spectrum(params, xi) ** 2
+
+    return modsq
+
+
 def soliton_spectrum_at_time(params: SolitonParams, t: float, xi) -> np.ndarray:
     """Complex spectrum at time t: the modulus times the traveling phases."""
     n, lam = params.carrier, params.scale
@@ -169,18 +179,14 @@ def _leggauss(order: int):
 
 
 def cube_window_quadrature(
-    modsq_fn,
-    n_values: np.ndarray,
-    window=cos2_window,
-    rel_tol: float = 1e-9,
-    max_order: int = 4096,
+    modsq_fn, n_values: np.ndarray, max_order: int = 4096
 ) -> np.ndarray:
     """Per-cube integrals int psi(xi - n)^2 modsq_fn(xi) dxi over [n-1, n+1].
 
-    Gauss-Legendre with order doubling until every cube changed by less than
-    rel_tol (relative to itself or to the largest cube, whichever is larger),
-    vectorized across cubes.  High orders handle the oscillatory difference
-    spectra produced by traveling solitons.
+    psi is the cos^2 window.  Gauss-Legendre with order doubling until every
+    cube changed by less than QUAD_REL_TOL (relative to itself or to the
+    largest cube, whichever is larger), vectorized across cubes.  High orders
+    handle the oscillatory difference spectra produced by traveling solitons.
     """
     n_values = np.asarray(n_values)
     vals = np.full(n_values.size, np.nan)
@@ -190,11 +196,11 @@ def cube_window_quadrature(
     while order <= max_order:
         u, w = _leggauss(order)
         pts = n_values[pending, None] + u[None, :]
-        integrand = modsq_fn(pts) * window(pts - n_values[pending, None]) ** 2
+        integrand = modsq_fn(pts) * cos2_window(pts - n_values[pending, None]) ** 2
         cur = integrand @ w
         if prev is not None:
             scale = max(np.max(np.abs(vals[~pending]), initial=0.0), np.max(np.abs(cur)))
-            done = np.abs(cur - prev) <= rel_tol * np.maximum(np.abs(cur), 1e-20 * scale)
+            done = np.abs(cur - prev) <= QUAD_REL_TOL * np.maximum(np.abs(cur), 1e-20 * scale)
             idx = np.nonzero(pending)[0]
             vals[idx[done]] = cur[done]
             pending[idx[done]] = False
@@ -212,13 +218,7 @@ def cube_window_quadrature(
 
 
 def modulation_norm_of_spectrum(
-    modsq_fn,
-    s: float,
-    p: float,
-    n_lo: int,
-    n_hi: int,
-    window=cos2_window,
-    rel_tol: float = 1e-9,
+    modsq_fn, s: float, p: float, n_lo: int, n_hi: int
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Grid-free modulation norm of a closed-form spectrum.
 
@@ -226,7 +226,7 @@ def modulation_norm_of_spectrum(
     so callers can reuse the per-cube profile (tail restrictions, diagnostics).
     """
     n_values = np.arange(n_lo, n_hi + 1)
-    integrals = cube_window_quadrature(modsq_fn, n_values, window=window, rel_tol=rel_tol)
+    integrals = cube_window_quadrature(modsq_fn, n_values)
     masses = np.sqrt(np.maximum(integrals, 0.0) / (2.0 * np.pi))
     return _lp(_jap(n_values) ** s * masses, p), n_values, masses
 
@@ -236,24 +236,12 @@ def spectral_support_halfwidth(scale: float) -> float:
     return 2.0 * scale / np.pi * 42.0 + 2.0
 
 
-def soliton_modulation_norm(
-    params: SolitonParams,
-    s: float,
-    p: float,
-    window=cos2_window,
-    rel_tol: float = 1e-9,
-) -> float:
+def soliton_modulation_norm(params: SolitonParams, s: float, p: float) -> float:
     """Quadrature M^{2,p}_s norm of the soliton (t-independent by modulus invariance)."""
-
-    def modsq(xi):
-        return soliton_spectrum(params, xi) ** 2
-
     hw = spectral_support_halfwidth(params.scale)
     n_lo = int(np.floor(params.carrier - hw))
     n_hi = int(np.ceil(params.carrier + hw))
-    norm, _, _ = modulation_norm_of_spectrum(
-        modsq, s, p, n_lo, n_hi, window=window, rel_tol=rel_tol
-    )
+    norm, _, _ = modulation_norm_of_spectrum(soliton_modsq(params), s, p, n_lo, n_hi)
     return norm
 
 
@@ -300,18 +288,13 @@ def pair_difference_modsq(pa: SolitonParams, pb: SolitonParams, t: float):
 
 
 def pair_overlap(
-    n: int,
-    a: SolitonParams,
-    b: SolitonParams,
-    t: float,
-    grid: GridSpec,
-    window=cos2_window,
+    n: int, a: SolitonParams, b: SolitonParams, t: float, grid: GridSpec
 ) -> float:
     """|<Pi_n u_a(t), Pi_n u_b(t)>_{L^2}| by direct inner product on the grid."""
     if a.scale != b.scale:
         raise ValueError(
             f"overlap is defined for a shared scale, got {a.scale} and {b.scale}"
         )
-    fa = unit_cube_project(soliton_field(a, t, grid), n, window=window)
-    fb = unit_cube_project(soliton_field(b, t, grid), n, window=window)
+    fa = unit_cube_project(soliton_field(a, t, grid), n)
+    fb = unit_cube_project(soliton_field(b, t, grid), n)
     return abs(fa.inner(fb))

@@ -82,7 +82,6 @@ class SolverConfig:
     dt: float
     sign: int = 1
     mass_tol: float = 1e-8
-    check_cfl: bool = True
 
     def __post_init__(self) -> None:
         if self.dt == 0.0 or not np.isfinite(self.dt):
@@ -194,18 +193,18 @@ class _Workspace:
                 f"band edge = {self.xi_band_max:.4g}); reduce dt"
             )
 
-    def rk4(self, a: np.ndarray, check_cfl: bool) -> np.ndarray:
+    def rk4(self, a: np.ndarray) -> np.ndarray:
         """One step; returns a fresh array, ``a`` is only read.
 
-        Stage inputs, in the order of the plain scheme:
+        Stage 1 is CFL-checked (:meth:`cfl_check`).  Stage inputs, in the
+        order of the plain scheme:
         k2 <- e (a + h/2 k1),  k3 <- e a + h/2 k2,  k4 <- e^2 a + h e k3,
         a' = e^2 a + h/6 (e^2 k1 + 2 e (k2 + k3) + k4).
         """
         e, e2 = self.exp_half, self.exp_full
         s1, s2 = self._s1, self._s2
-        k1 = self.nonlin(a, check_cfl)
-        if check_cfl:
-            self.cfl_check()
+        k1 = self.nonlin(a, True)
+        self.cfl_check()
         np.multiply(self.half_dt, k1, out=s1)
         np.add(a, s1, out=s1)
         np.multiply(e, s1, out=s2)
@@ -252,7 +251,7 @@ def step(f: Field, dt: float, cfg: SolverConfig) -> Field:
     if dt == 0.0:
         return f
     ws = _Workspace(f.grid, dt, cfg.sign)
-    a = ws.rk4(np.fft.fft(f.values), cfg.check_cfl)
+    a = ws.rk4(np.fft.fft(f.values))
     return Field(f.grid, np.fft.ifft(a))
 
 
@@ -303,7 +302,7 @@ def evolve(
     for k in range(n_steps):
         if snapshots is not None and k % record_every == 0:
             snapshots[k // record_every] = np.fft.ifft(a)
-        a = ws.rk4(a, cfg.check_cfl)
+        a = ws.rk4(a)
         if not np.all(np.isfinite(a)):
             raise SolverError(f"solution blew up at step {k + 1} (t = {(k + 1) * cfg.dt:.4g})")
     if mass0 > 0.0:

@@ -327,8 +327,8 @@ def quartic_window(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def unit_cube_project(f: Field, n: int, window=cos2_window) -> Field:
-    """Apply the unit-cube Fourier multiplier psi(xi - n)."""
+def unit_cube_project(f: Field, n: int) -> Field:
+    """Apply the cos^2 unit-cube Fourier multiplier psi(xi - n)."""
     g = f.grid
     lo, hi = g.band
     if n - 1 < lo or n + 1 > hi:
@@ -336,7 +336,7 @@ def unit_cube_project(f: Field, n: int, window=cos2_window) -> Field:
             f"cube n={n} needs the band [{n - 1}, {n + 1}], grid resolves "
             f"[{lo:.4g}, {hi:.4g}]"
         )
-    return fourier_multiplier(f, window(g.xi - n))
+    return fourier_multiplier(f, cos2_window(g.xi - n))
 
 
 def airy_propagator(f: Field, t: float) -> Field:

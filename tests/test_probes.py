@@ -79,6 +79,16 @@ class TestBilinearRatios:
         )
         assert r2 == pytest.approx(r1, rel=1e-10)
 
+    @pytest.mark.parametrize("c", [1e-100, 1e100])
+    def test_ratios_homogeneous_where_squares_leave_double_range(self, corpus, c):
+        # the numerator's squares of c^2-sized products would under- or overflow
+        u, v = corpus[0], corpus[1]
+        cu, cv = Field(u.grid, c * u.values), Field(v.grid, c * v.values)
+        cube, lp = bilinear_ratio_cube(u, v, 3, -1), bilinear_ratio_lp(u, v, 8.0, 1.0)
+        assert cube > 0.1 and lp > 0.3
+        assert bilinear_ratio_cube(cu, cv, 3, -1) == pytest.approx(cube, rel=1e-10)
+        assert bilinear_ratio_lp(cu, cv, 8.0, 1.0) == pytest.approx(lp, rel=1e-10)
+
     def test_pure_mode_ratio_against_longhand_integral(self):
         # pure lattice modes at dyadic blocks N1 = 8, N2 = 1: every piece of the
         # ratio (windowed product L2, X^{0,b} of each factor, the 1/N1 weight)
@@ -226,6 +236,21 @@ class TestConvolutionInequality:
             b[rng.random(48) < 0.5] = 0.0
             lhs, bound = convolution_inequality_check(a, b, eps=0.1, p=2.0, c_eps=c)
             assert lhs <= bound + 1e-12
+
+    def test_sparse_pairs_of_the_calibrated_stream(self):
+        # the calibrated maximum is a block sequence's, so criterion 8a alone
+        # cannot see the sparse pairs; replay their stream (rng seed 1, after
+        # the cube pairs of the 200-field corpus) and pin their maximum
+        rng = np.random.default_rng(1)
+        probes._cube_layout(200, rng)
+        ratios = list(probes._convolution_ratios(rng))
+        blocks, sparse = ratios[:4], ratios[4:]
+        assert [label for _, label in blocks][-1] == "block [1, 4096]"
+        assert len(sparse) == 3000
+        worst, label = max(sparse, key=lambda pair: pair[0])
+        assert label == "sparse pair #943"
+        assert worst == pytest.approx(1.4150764822524853, rel=1e-9)
+        assert max(r for r, _ in blocks) == pytest.approx(7.614079847098927, rel=1e-9)
 
     def test_rejects_negative_sequences(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -281,7 +281,7 @@ class TestWorkspaceMatchesReference:
         got = a0.copy()
         for _ in range(n_steps):
             want = reference_rk4(want, small_grid, dt, sign)
-            got = ws.rk4(got, True)
+            got = ws.rk4(got)
             assert np.array_equal(got, want)
         final = evolve(f0, n_steps * dt, SolverConfig(dt=dt, sign=sign)).final
         assert np.array_equal(final.values, np.fft.ifft(want))
@@ -318,7 +318,7 @@ class TestWorkspaceMatchesReference:
         for _ in range(2):
             a = a0
             for _ in range(20):
-                a = ws.rk4(a, True)
+                a = ws.rk4(a)
             runs.append(a)
         assert np.array_equal(runs[0], runs[1])
         assert not np.shares_memory(runs[0], runs[1])
@@ -365,7 +365,7 @@ class TestCflCheck:
     def test_checked_step_keeps_the_stage_one_maximum(self, small_grid):
         ws = _Workspace(small_grid, 1e-3, 1)
         a = np.fft.fft(white_noise_field(small_grid, seed=7).values)
-        ws.rk4(a, True)
+        ws.rk4(a)
         assert ws.last_max_abs2 == reference_stage1_max_abs2(a, small_grid)
 
     def test_guard_trips_at_the_reference_step(self, small_grid):
@@ -394,10 +394,10 @@ class TestCflCheck:
         )
         got = a0
         for _ in range(trip_step - 1):
-            got = ws.rk4(got, True)
+            got = ws.rk4(got)
         assert np.array_equal(got, want)
         with pytest.raises(SolverError) as info:
-            ws.rk4(got, True)
+            ws.rk4(got)
         assert str(info.value) == message
         assert ws.last_max_abs2 == max_abs2
 
@@ -414,7 +414,7 @@ class TestMassGuardScaling:
         f0 = small_random_field(small_grid, seed=3, amplitude=amplitude)
         with np.errstate(over="ignore"):
             assert float(np.sum(np.abs(f0.values) ** 2)) in (0.0, math.inf)
-        monkeypatch.setattr(_Workspace, "rk4", lambda self, a, check_cfl: 1.001 * a)
+        monkeypatch.setattr(_Workspace, "rk4", lambda self, a: 1.001 * a)
         with pytest.raises(MassDriftError, match="drift"):
             evolve(f0, 0.016, SolverConfig(dt=1e-3)).final
 
@@ -422,7 +422,7 @@ class TestMassGuardScaling:
         ws = _Workspace(small_grid, 5e-3, 1)
         a0 = np.fft.fft(white_noise_field(small_grid, seed=11).values)
         a0[~ws.band_mask] = 0.0
-        a1 = ws.rk4(ws.rk4(a0, True), True)
+        a1 = ws.rk4(ws.rk4(a0))
 
         def mass(a):
             return float(np.sum(np.abs(a) ** 2) * small_grid.dx / small_grid.points)
