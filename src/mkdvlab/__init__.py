@@ -40,7 +40,6 @@ from .solitons import (
     pair_difference_modsq,
     pair_overlap,
     soliton_field,
-    soliton_modsq,
     soliton_modulation_norm,
     soliton_spectrum,
     soliton_spectrum_at_time,

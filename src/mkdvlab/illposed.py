@@ -29,8 +29,8 @@ from .solitons import (
     modulation_norm_of_spectrum,
     pair_difference_modsq,
     soliton_field,
-    soliton_modsq,
     spectral_support_halfwidth,
+    _soliton_modsq,
 )
 from .solver import SolverConfig, evolve
 from .spectral import Field, GridSpec, ResolutionError
@@ -257,9 +257,9 @@ def run_point(plan: ExperimentPlan, n: float) -> ExperimentRecord:
     n_hi = int(np.ceil(choice.n2 + hw))
     s, p = plan.s, plan.p
     norm_u, n_values, masses_u = modulation_norm_of_spectrum(
-        soliton_modsq(pa), s, p, n_lo, n_hi
+        _soliton_modsq(pa), s, p, n_lo, n_hi
     )
-    norm_v, _, _ = modulation_norm_of_spectrum(soliton_modsq(pb), s, p, n_lo, n_hi)
+    norm_v, _, _ = modulation_norm_of_spectrum(_soliton_modsq(pb), s, p, n_lo, n_hi)
     diff0, _, _ = modulation_norm_of_spectrum(
         pair_difference_modsq(pa, pb, 0.0), s, p, n_lo, n_hi
     )

@@ -133,33 +133,29 @@ def _st_l2(samples: np.ndarray, grid: GridSpec, dt: float) -> float:
     return math.ldexp(float(np.sqrt(np.sum(a2) * grid.dx * dt)), e)
 
 
-def _bilinear_ratio(pu: Field, pv: Field, eps: float, n_times: int, divisor: float) -> float:
+def _bilinear_ratio(pu: Field, pv: Field, eps: float, divisor: float) -> float:
     """||U V||_{L^2_{x,t}} of the free evolutions against X^{0,1/2+eps} norms / divisor."""
-    fu = free_evolution(pu, CORPUS_T_WINDOW, n_times)
-    fv = free_evolution(pv, CORPUS_T_WINDOW, n_times)
+    fu = free_evolution(pu, CORPUS_T_WINDOW, CORPUS_N_TIMES)
+    fv = free_evolution(pv, CORPUS_T_WINDOW, CORPUS_N_TIMES)
     num = _st_l2(fu.windowed_samples() * fv.windowed_samples(), pu.grid, fu.dt)
     den = xsb_norm(fu, 0.0, 0.5 + eps) * xsb_norm(fv, 0.0, 0.5 + eps) / divisor
     return 0.0 if den == 0.0 else num / den
 
 
-def bilinear_ratio_cube(
-    u: Field, v: Field, m: int, n: int, eps: float = 0.05, n_times: int = CORPUS_N_TIMES
-) -> float:
-    """||Pi_m U Pi_n V||_{L^2_{x,t}} against the |m+n||m-n|^{-1/2}-weighted bound."""
+def bilinear_ratio_cube(u: Field, v: Field, m: int, n: int) -> float:
+    """||Pi_m U Pi_n V||_{L^2_{x,t}} against the |m+n||m-n|^{-1/2}-weighted bound, eps = 0.05."""
     if abs(m + n) < 2 or abs(m - n) < 2:
         raise ValueError(f"cube pair needs |m+n|, |m-n| >= 2, got m={m}, n={n}")
     pu = unit_cube_project(u, m)
     pv = unit_cube_project(v, n)
-    return _bilinear_ratio(pu, pv, eps, n_times, math.sqrt(abs(m + n) * abs(m - n)))
+    return _bilinear_ratio(pu, pv, 0.05, math.sqrt(abs(m + n) * abs(m - n)))
 
 
-def bilinear_ratio_lp(
-    u: Field, v: Field, n1: float, n2: float, eps: float = 0.05, n_times: int = CORPUS_N_TIMES
-) -> float:
+def bilinear_ratio_lp(u: Field, v: Field, n1: float, n2: float, eps: float = 0.05) -> float:
     """||P_{N1} U P_{N2} V||_{L^2_{x,t}} against the N1^{-1}-weighted bound."""
     if n1 < 4 * n2:
         raise ValueError(f"separated dyadics required: N1 >= 4 N2, got {n1}, {n2}")
-    return _bilinear_ratio(littlewood_paley(u, n1), littlewood_paley(v, n2), eps, n_times, n1)
+    return _bilinear_ratio(littlewood_paley(u, n1), littlewood_paley(v, n2), eps, n1)
 
 
 def _spatial_derivative_samples(traj: SpaceTimeField) -> np.ndarray:
@@ -173,10 +169,9 @@ def trilinear_ratio(
     u3: Field,
     s: float,
     p: float,
-    eps: float = 0.01,
     n_times: int = CORPUS_N_TIMES,
 ) -> tuple[float, bool]:
-    """Ratio for the key trilinear bound: u1 conj(u2) d_x u3 in X^{s,-1/2+2eps}_p.
+    """Ratio for the key trilinear bound: u1 conj(u2) d_x u3 in X^{s,-1/2+2eps}_p, eps = 0.01.
 
     Returns (ratio, out_of_range): out_of_range flags parameters outside
     s >= 1/4, 2 <= p < inf; the ratio is still computed (useful for probing
@@ -194,6 +189,7 @@ def trilinear_ratio(
         * (f3.cutoff[:, None] * _spatial_derivative_samples(f3))
     )
     w = SpaceTimeField(u1.grid, CORPUS_T_WINDOW, product)
+    eps = 0.01
     num = xsb_p_norm(w, s, -0.5 + 2.0 * eps, p)
     den = (
         xsb_p_norm(f1, s, 0.5 + eps, p)

@@ -36,7 +36,6 @@ __all__ = [
     "soliton_time_derivative",
     "soliton_spectrum",
     "soliton_spectrum_at_time",
-    "soliton_modsq",
     "soliton_modulation_norm",
     "modulation_norm_of_spectrum",
     "cube_window_quadrature",
@@ -151,7 +150,7 @@ def soliton_spectrum(params: SolitonParams, xi) -> np.ndarray:
     return (np.pi / math.sqrt(6.0)) * sech(np.pi * (np.asarray(xi, float) - n) / (2.0 * lam))
 
 
-def soliton_modsq(params: SolitonParams):
+def _soliton_modsq(params: SolitonParams):
     """|u_hat(xi)|^2 of the soliton as a function of xi arrays (t-independent)."""
 
     def modsq(xi):
@@ -241,7 +240,7 @@ def soliton_modulation_norm(params: SolitonParams, s: float, p: float) -> float:
     hw = spectral_support_halfwidth(params.scale)
     n_lo = int(np.floor(params.carrier - hw))
     n_hi = int(np.ceil(params.carrier + hw))
-    norm, _, _ = modulation_norm_of_spectrum(soliton_modsq(params), s, p, n_lo, n_hi)
+    norm, _, _ = modulation_norm_of_spectrum(_soliton_modsq(params), s, p, n_lo, n_hi)
     return norm
 
 

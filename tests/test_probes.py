@@ -239,10 +239,15 @@ class TestConvolutionInequality:
 
     def test_sparse_pairs_of_the_calibrated_stream(self):
         # the calibrated maximum is a block sequence's, so criterion 8a alone
-        # cannot see the sparse pairs; replay their stream (rng seed 1, after
-        # the cube pairs of the 200-field corpus) and pin their maximum
-        rng = np.random.default_rng(1)
-        probes._cube_layout(200, rng)
+        # cannot see the sparse pairs; replay their stream (the pairing seed,
+        # after the cube pairs of the frozen corpus) and pin their maximum.
+        # Only bilinear_cube draws before convolution; a family added ahead
+        # of it would change the stream, so the order is pinned too.
+        assert list(probes._FAMILIES)[:4] == [
+            "bilinear_cube", "bilinear_lp", "trilinear", "convolution"
+        ]
+        rng = np.random.default_rng(probes.PAIRING_SEED)
+        probes._cube_layout(probes.CORPUS_SIZE, rng)
         ratios = list(probes._convolution_ratios(rng))
         blocks, sparse = ratios[:4], ratios[4:]
         assert [label for _, label in blocks][-1] == "block [1, 4096]"
