@@ -20,8 +20,6 @@ from .spectral import (
     inverse_transform,
     littlewood_paley,
     quartic_window,
-    riesz_bilinear,
-    riesz_potential,
     unit_cube_project,
 )
 from .norms import (

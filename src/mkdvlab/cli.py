@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .illposed import ExperimentPlan, run_sweep, verify_lemma
+from .illposed import ExperimentPlan, ExperimentRecord, run_sweep, verify_lemma
 from .io import (
     ConfigError,
     SnapshotError,
@@ -199,11 +200,7 @@ def cmd_illposed(cfg: dict, out: Path, seed: int | None, jobs: int) -> int:
     verdict = verify_lemma(records, plan)
     header = _header(cfg, None, seed)
     header["grid"] = "auto-sized per record (see plan_grid)"
-    columns = [
-        "carrier", "n1", "n2", "lam", "theta",
-        "norm_u", "norm_v", "diff0", "difft", "tail",
-        "grid_norm_u", "grid_diff0", "grid_difft", "solver_error",
-    ]
+    columns = [f.name for f in fields(ExperimentRecord)]
     write_csv(out / "records.csv", columns, [r.to_dict() for r in records], header=header)
     write_json(out / "verdict.json", verdict.to_dict(), meta=header)
     print(

@@ -24,6 +24,7 @@ import numpy as np
 from .io import ConfigError
 from .norms import (
     SpaceTimeField,
+    _lp,
     free_evolution,
     modulation_norm,
     sobolev_norm,
@@ -215,7 +216,8 @@ def convolution_inequality_check(
     """Exact double sum sum_{m != n} a_m b_n / (|m-n| <n>^eps) vs C_eps ||a||_p ||b||_p'.
 
     Sequences are nonnegative with finite support; n0_* give the integer index
-    of the first entry.  Returns (lhs, rhs_bound).
+    of the first entry.  p >= 1, and p' is its dual exponent (1 at p = inf).
+    Returns (lhs, rhs_bound).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -223,6 +225,8 @@ def convolution_inequality_check(
         raise ValueError("sequences must be nonnegative")
     if not eps > 0:
         raise ValueError("eps must be positive")
+    if not p >= 1:
+        raise ValueError(f"p must satisfy p >= 1, got {p}")
     if c_eps is None:
         c_eps = float(load_calibration()["constants"]["convolution"])
     m_idx = n0_a + np.arange(a.size)
@@ -236,10 +240,8 @@ def convolution_inequality_check(
         with np.errstate(divide="ignore"):
             kernel = np.where(gap == 0.0, 0.0, 1.0 / gap)
         lhs += float(a[lo:hi] @ kernel @ weight_b)
-    q = p / (p - 1.0) if p > 1 else math.inf
-    norm_a = float(np.sum(a**p) ** (1 / p)) if not math.isinf(p) else float(np.max(a))
-    norm_b = float(np.sum(b**q) ** (1 / q)) if not math.isinf(q) else float(np.max(b))
-    return lhs, c_eps * norm_a * norm_b
+    q = math.inf if p == 1 else 1.0 / (1.0 - 1.0 / p)
+    return lhs, c_eps * _lp(a, p) * _lp(b, q)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +399,8 @@ def _convolution_ratios(rng):
         b[rng.random(64) < 0.6] = 0.0
         if not a.any() or not b.any():
             continue
-        lhs, _ = convolution_inequality_check(a, b, eps=0.1, p=2.0, c_eps=1.0)
-        yield lhs / float(np.sqrt(np.sum(a**2)) * np.sqrt(np.sum(b**2))), f"sparse pair #{k}"
+        lhs, bound = convolution_inequality_check(a, b, eps=0.1, p=2.0, c_eps=1.0)
+        yield lhs / bound, f"sparse pair #{k}"
 
 
 def _probe_convolution(fields: list[Field], rng) -> dict:

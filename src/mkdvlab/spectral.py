@@ -13,9 +13,9 @@ approximations of the continuum transform and Parseval reads
 The convention lives in one private pair, ``_coefficients`` and ``_samples``,
 which transform along the last axis (a (K, M) trajectory row by row).
 ``forward_transform`` and ``inverse_transform`` wrap it for single fields,
-and every multiplier (derivatives, projectors, the Airy group, Riesz
-potentials) is one call of :func:`fourier_multiplier`.  Only the solver's
-time loop keeps its own unnormalised coefficients.
+and every multiplier (derivatives, projectors, the Airy group) is one call
+of :func:`fourier_multiplier`.  Only the solver's time loop keeps its own
+unnormalised coefficients.
 
 A grid may be heterodyned: centred in frequency at xi0 = offset * dxi for an
 even integer offset.  A field on such a grid stores v(x_j) = exp(-i xi0 x_j)
@@ -25,10 +25,9 @@ windows and weights evaluated at ``grid.xi`` therefore need no change, and
 a narrow band far from zero (a soliton pair at carrier N) costs points in
 proportion to its width, not to N.  Resolution checks measure the band
 relative to xi0 through ``GridSpec.band``.  Code built for xi0 = 0 (the
-solver's padded cubic term), products that leave the xi0 frame (the Riesz
-bilinear convolution), sampling a function of x (``Field.from_function``)
-and snapshot headers without an offset refuse offset grids with
-:class:`OffsetGridError`.
+solver's padded cubic term), sampling a function of x
+(``Field.from_function``) and snapshot headers without an offset refuse
+offset grids with :class:`OffsetGridError`.
 """
 
 from __future__ import annotations
@@ -39,9 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-
-#: relative magnitude below which a spectral bin counts as unoccupied
-SUPPORT_TOL = 1e-13
 
 
 class GridMismatchError(ValueError):
@@ -345,65 +341,3 @@ def airy_propagator(f: Field, t: float) -> Field:
     Unitary on L^2 and a one-parameter group in t.
     """
     return fourier_multiplier(f, np.exp(1j * f.grid.xi**3 * t))
-
-
-def riesz_potential(f: Field, theta: float) -> Field:
-    """|xi|^theta multiplier, (-d_x^2)^(theta/2)."""
-    if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    return fourier_multiplier(f, np.abs(f.grid.xi) ** theta)
-
-
-def _signed_support(coef: np.ndarray) -> np.ndarray:
-    """Signed lattice indices of occupied bins (relative magnitude > SUPPORT_TOL)."""
-    m = coef.shape[0]
-    peak = np.max(np.abs(coef))
-    if peak == 0.0:
-        return np.empty(0, dtype=int)
-    idx = np.nonzero(np.abs(coef) > SUPPORT_TOL * peak)[0]
-    return np.where(idx < m // 2, idx, idx - m)
-
-
-def riesz_bilinear(theta: float, f: Field, g: Field) -> Field:
-    """Riesz-type bilinear operator: frequency convolution weighted by |xi1 - xi2|^theta.
-
-    Output spectrum at xi:
-
-        w_hat(xi) = (2 pi)^{-1} sum_{xi1 + xi2 = xi} |xi1 - xi2|^theta
-                    f_hat(xi1) g_hat(xi2) dxi,
-
-    the (2 pi)^{-1} dxi convolution measure matching the product convention
-    (theta -> 0 degenerates toward the pointwise product f g).  Computed as a
-    direct double sum over occupied bins: cost O(B^2) in the occupied bandwidth
-    B, so inputs must be band-limited.  Both inputs must occupy strictly less
-    than half the Nyquist band, else the output would alias back into the
-    lattice.
-    """
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    require_same_grid(f, g)
-    grid = f.grid
-    require_zero_offset(grid, "riesz_bilinear (its output band is centred at 2 xi0)")
-    m = grid.points
-    fh = forward_transform(f).coefficients
-    gh = forward_transform(g).coefficients
-    kf = _signed_support(fh)
-    kg = _signed_support(gh)
-    if kf.size == 0 or kg.size == 0:
-        return Field.zero(grid)
-    cap = m // 4 - 1
-    worst = max(np.max(np.abs(kf)), np.max(np.abs(kg)))
-    if worst > cap:
-        raise ResolutionError(
-            f"inputs occupy |k| up to {worst}; the banded convolution needs "
-            f"|k| <= {cap} (below half Nyquist) to stay alias-free"
-        )
-    xi_f = grid.dxi * kf
-    xi_g = grid.dxi * kg
-    weight = np.abs(xi_f[:, None] - xi_g[None, :]) ** theta
-    terms = (grid.dxi / TWO_PI) * weight * fh[np.where(kf < 0, kf + m, kf)][:, None] \
-        * gh[np.where(kg < 0, kg + m, kg)][None, :]
-    out = np.zeros(m, dtype=np.complex128)
-    k_out = (kf[:, None] + kg[None, :]) % m
-    np.add.at(out, k_out.ravel(), terms.ravel())
-    return inverse_transform(SpectralField(grid, out))

@@ -257,6 +257,23 @@ class TestConvolutionInequality:
         assert worst == pytest.approx(1.4150764822524853, rel=1e-9)
         assert max(r for r, _ in blocks) == pytest.approx(7.614079847098927, rel=1e-9)
 
+    def test_bound_is_homogeneous_and_refuses_p_below_one(self):
+        # the norms of the bound scale out the peak before raising to the p-th
+        # power, so neither under- nor overflows where the left side does not
+        a = np.array([0.0, 2.0, 1.0, 3.0])
+        b = np.array([1.0, 0.5, 0.0, 2.0])
+        for p in (1.0, 2.0, 4.0, np.inf):
+            _, bound = convolution_inequality_check(a, b, eps=0.1, p=p, c_eps=1.5)
+            assert np.isfinite(bound) and bound > 0.0, p
+            for c in (1e-170, 1e170):
+                _, scaled = convolution_inequality_check(c * a, b, eps=0.1, p=p, c_eps=1.5)
+                assert scaled == pytest.approx(c * bound, rel=1e-12), (p, c)
+        # at p = inf the dual exponent is 1
+        assert bound == pytest.approx(1.5 * np.max(a) * np.sum(b), rel=1e-15)
+        for p in (0.5, 0.0, np.nan):
+            with pytest.raises(ValueError, match="p must satisfy p >= 1"):
+                convolution_inequality_check(a, b, eps=0.1, p=p, c_eps=1.0)
+
     def test_rejects_negative_sequences(self):
         with pytest.raises(ValueError, match="nonnegative"):
             convolution_inequality_check(

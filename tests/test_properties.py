@@ -16,7 +16,6 @@ from mkdvlab.spectral import (
     airy_propagator,
     forward_transform,
     inverse_transform,
-    riesz_bilinear,
     unit_cube_project,
 )
 
@@ -113,17 +112,6 @@ def test_disjoint_cube_projectors_annihilate(seed, n, gap):
         return
     g = unit_cube_project(unit_cube_project(f, n), m)
     assert np.max(np.abs(g.values)) < 1e-13 * max(np.max(np.abs(f.values)), 1e-30)
-
-
-@settings(max_examples=15, deadline=None)
-@given(seed=seeds, theta=st.floats(min_value=0.05, max_value=1.0, allow_nan=False))
-def test_riesz_bilinear_symmetric(seed, theta):
-    f = field_from_seed(seed, max_xi=6.0)
-    g = field_from_seed(seed + 1, max_xi=6.0)
-    fg = riesz_bilinear(theta, f, g)
-    gf = riesz_bilinear(theta, g, f)
-    scale = max(np.max(np.abs(fg.values)), 1e-30)
-    assert np.max(np.abs(fg.values - gf.values)) < 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------

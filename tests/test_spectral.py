@@ -25,8 +25,6 @@ from mkdvlab.spectral import (
     inverse_transform,
     littlewood_paley,
     quartic_window,
-    riesz_bilinear,
-    riesz_potential,
     unit_cube_project,
 )
 
@@ -329,100 +327,6 @@ class TestAiryPropagator:
         assert np.max(err) < 1e-3 * np.max(np.abs(f.values))
 
 
-class TestRieszPotential:
-    def test_pure_mode_weight(self, small_grid):
-        from mkdvlab.spectral import riesz_potential
-
-        k = 12
-        coef = np.zeros(small_grid.points, dtype=complex)
-        coef[k] = 1.0
-        f = inverse_transform(SpectralField(small_grid, coef))
-        out = forward_transform(riesz_potential(f, 0.5))
-        assert out.coefficients[k] == pytest.approx(
-            (small_grid.dxi * k) ** 0.5, rel=1e-12
-        )
-
-    def test_rejects_nonpositive_theta(self, small_grid):
-        from mkdvlab.spectral import riesz_potential
-
-        with pytest.raises(ValueError):
-            riesz_potential(Field.zero(small_grid), 0.0)
-
-
-class TestRieszBilinear:
-    def test_single_pure_mode_pair_gives_zero(self, small_grid):
-        # f = g a single mode: only the diagonal xi1 = xi2 contributes, weight 0
-        k = 24
-        coef = np.zeros(small_grid.points, dtype=complex)
-        coef[k] = 1.0
-        f = inverse_transform(SpectralField(small_grid, coef))
-        out = riesz_bilinear(1.0, f, f)
-        assert np.max(np.abs(out.values)) < 1e-14
-
-    def test_two_pure_modes(self, small_grid):
-        # lattice modes a != b combine into a single mode at a + b
-        ka, kb = 16, -10
-        theta = 0.5
-        ca = np.zeros(small_grid.points, dtype=complex)
-        cb = np.zeros(small_grid.points, dtype=complex)
-        ca[ka] = 2.0
-        cb[kb % small_grid.points] = 1.5 - 0.5j
-        f = inverse_transform(SpectralField(small_grid, ca))
-        g = inverse_transform(SpectralField(small_grid, cb))
-        out = forward_transform(riesz_bilinear(theta, f, g))
-        xi_a, xi_b = small_grid.dxi * ka, small_grid.dxi * kb
-        expected = (
-            abs(xi_a - xi_b) ** theta
-            * ca[ka]
-            * cb[kb % small_grid.points]
-            * small_grid.dxi
-            / (2 * np.pi)
-        )
-        k_out = (ka + kb) % small_grid.points
-        assert out.coefficients[k_out] == pytest.approx(expected, rel=1e-12)
-        rest = np.delete(np.abs(out.coefficients), k_out)
-        assert np.max(rest) < 1e-14 * abs(expected)
-
-    def test_matches_brute_force_convolution(self, small_grid):
-        rng = np.random.default_rng(23)
-        m = small_grid.points
-        band = 20
-        theta = 0.7
-
-        def random_band_limited():
-            coef = np.zeros(m, dtype=complex)
-            for k in range(-band, band + 1):
-                coef[k % m] = rng.standard_normal() + 1j * rng.standard_normal()
-            return coef
-
-        cf, cg = random_band_limited(), random_band_limited()
-        f = inverse_transform(SpectralField(small_grid, cf))
-        g = inverse_transform(SpectralField(small_grid, cg))
-        out = forward_transform(riesz_bilinear(theta, f, g)).coefficients
-
-        expected = np.zeros(m, dtype=complex)
-        for k1 in range(-band, band + 1):
-            for k2 in range(-band, band + 1):
-                w = abs(small_grid.dxi * (k1 - k2)) ** theta
-                expected[(k1 + k2) % m] += (
-                    w * cf[k1 % m] * cg[k2 % m] * small_grid.dxi / (2 * np.pi)
-                )
-        scale = np.max(np.abs(expected))
-        assert np.max(np.abs(out - expected)) < 1e-10 * scale
-
-    def test_rejects_broadband_input(self, small_grid):
-        rng = np.random.default_rng(2)
-        coef = rng.standard_normal(small_grid.points) + 0j
-        f = inverse_transform(SpectralField(small_grid, coef))
-        with pytest.raises(ResolutionError, match="alias"):
-            riesz_bilinear(0.5, f, f)
-
-    def test_rejects_bad_theta(self, small_grid):
-        f = Field.zero(small_grid)
-        with pytest.raises(ValueError):
-            riesz_bilinear(0.0, f, f)
-
-
 def symmetric_cube_profile(f, window=cos2_window):
     """The cube profile as computed before offset grids: cubes |n| <= xi_max - 1."""
     g = f.grid
@@ -543,7 +447,6 @@ class TestOffsetGrid:
             lambda: nonlinearity(u),
             lambda: step(u, 1e-4, SolverConfig(dt=1e-4)),
             lambda: evolve(u, 1e-3, SolverConfig(dt=1e-4)).final,
-            lambda: riesz_bilinear(0.5, u, u),
             lambda: Field.from_function(g, np.cos),
             lambda: write_field(tmp_path / "f.bin", u),
             lambda: write_trajectory(
@@ -569,7 +472,6 @@ class TestOneConvention:
             (lambda f: littlewood_paley(f, 4.0), dyadic_mask(xi, 4.0)),
             (lambda f: unit_cube_project(f, 3), cos2_window(xi - 3)),
             (lambda f: airy_propagator(f, 0.3), np.exp(1j * xi**3 * 0.3)),
-            (lambda f: riesz_potential(f, 0.5), np.abs(xi) ** 0.5),
         ]
 
     def test_operators_are_their_multiplier(self):
