@@ -33,61 +33,96 @@ from .solitons import SolitonParams, soliton_field
 from .solver import SolverConfig, evolve, invariants
 from .spectral import Field, GridSpec, SpectralField, inverse_transform
 
+#: the keys each kind of initial field requires
+_INITIAL = {"soliton": ("soliton_carrier", "soliton_scale"), "file": ("file",), "random": ()}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+#: value parsers: (what they accept, conversion, test of the converted value)
+_NUMBER = ("a finite number", float, math.isfinite)
+_NUMBER_OR_INF = ("a number or inf", float, lambda x: x == math.inf or math.isfinite(x))
+_INTEGER = ("an integer", int, None)
+_BOOLEAN = ("true/false, yes/no, on/off or 1/0", lambda raw: _BOOLEANS[raw.lower()], None)
+_POWER_OF_TWO = ("a power of two", lambda raw: math.log2(float(raw)),
+                 lambda k: math.isfinite(k) and abs(k - round(k)) <= 1e-9)
+_FILE = ("an existing file", Path, Path.is_file)
+_SEED = ("a nonnegative integer", int, lambda n: n >= 0)
+_INITIAL_KIND = ("one of " + "|".join(_INITIAL), str, lambda kind: kind in _INITIAL)
+_NAMES = ("names", lambda raw: [n.strip() for n in raw.split(",") if n.strip()], None)
+
+#: defaults: a _REQUIRED key must be given; an _UNSET key is left out unless
+#: given, because the library holds its default or only some initial kinds use it
+_REQUIRED, _UNSET = object(), object()
+#: per subcommand, each config key's parser and default
 _SCHEMAS = {
-    "solve": (
-        {"initial", "length", "points", "t_final", "dt", "record_every"},
-        {
-            "sign",
-            "soliton_carrier",
-            "soliton_scale",
-            "file",
-            "amplitude",
-            "max_xi",
-            "norm_s",
-            "norm_p",
-            "mass_tol",
-        },
-    ),
-    "illposed": (
-        {"s", "p", "T", "N_min", "N_max"},
-        {"theta", "use_solver"},
-    ),
-    "probe": ({"probes"}, {"corpus_seed", "corpus_size"}),
-    "norms": ({"field", "s", "p"}, set()),
+    "solve": {
+        "initial": (_INITIAL_KIND, _REQUIRED),
+        "length": (_NUMBER, _REQUIRED),
+        "points": (_INTEGER, _REQUIRED),
+        "t_final": (_NUMBER, _REQUIRED),
+        "dt": (_NUMBER, _REQUIRED),
+        "record_every": (_INTEGER, _REQUIRED),
+        "sign": (_INTEGER, _UNSET),
+        "mass_tol": (_NUMBER, _UNSET),
+        "soliton_carrier": (_NUMBER, _UNSET),
+        "soliton_scale": (_NUMBER, _UNSET),
+        "file": (_FILE, _UNSET),
+        "amplitude": (_NUMBER, 0.5),
+        "max_xi": (_NUMBER, 6.0),
+        "norm_s": (_NUMBER, 0.0),
+        "norm_p": (_NUMBER_OR_INF, 2.0),
+    },
+    "illposed": {
+        "s": (_NUMBER, _REQUIRED),
+        "p": (_NUMBER_OR_INF, _REQUIRED),
+        "T": (_NUMBER, _REQUIRED),
+        "N_min": (_POWER_OF_TWO, _REQUIRED),
+        "N_max": (_POWER_OF_TWO, _REQUIRED),
+        "theta": (_NUMBER, _UNSET),
+        "use_solver": (_BOOLEAN, _UNSET),
+    },
+    "probe": {
+        "probes": (_NAMES, _REQUIRED),
+        "corpus_seed": (_SEED, _UNSET),
+        "corpus_size": (_INTEGER, _UNSET),
+    },
+    "norms": {
+        "field": (_FILE, _REQUIRED),
+        "s": (_NUMBER, _REQUIRED),
+        "p": (_NUMBER_OR_INF, _REQUIRED),
+    },
 }
 
 
-def _check_keys(cfg: dict[str, str], command: str) -> None:
-    required, optional = _SCHEMAS[command]
+def _parse(cfg: dict[str, str], command: str) -> dict:
+    """`cfg` checked and converted by `command`'s schema; a fault is a ConfigError."""
+    schema = _SCHEMAS[command]
     for key in cfg:
-        if key not in required and key not in optional:
+        if key not in schema:
             raise ConfigError(f"unknown config key {key!r} for '{command}'")
-    for key in required:
-        if key not in cfg:
+    opts = {}
+    for key, ((wants, convert, accept), default) in schema.items():
+        if key in cfg:
+            try:
+                opts[key] = convert(cfg[key])
+                ok = accept is None or accept(opts[key])
+            except (KeyError, OSError, ValueError):
+                ok = False
+            if not ok:
+                raise ConfigError(f"config key {key!r} must be {wants}, got {cfg[key]!r}")
+        elif default is _REQUIRED:
             raise ConfigError(f"missing required config key {key!r} for '{command}'")
+        elif default is not _UNSET:
+            opts[key] = default
+    for key in _INITIAL.get(opts.get("initial"), ()):
+        if key not in opts:
+            raise ConfigError(f"initial = {opts['initial']} requires the {key!r} config key")
+    return opts
 
 
-def _as_float(cfg: dict, key: str) -> float:
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ConfigError(f"config key {key!r} must be a number, got {cfg[key]!r}")
-
-
-def _as_int(cfg: dict, key: str) -> int:
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ConfigError(f"config key {key!r} must be an integer, got {cfg[key]!r}")
-
-
-def _as_bool(cfg: dict, key: str) -> bool:
-    val = cfg[key].lower()
-    if val in ("1", "true", "yes", "on"):
-        return True
-    if val in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"config key {key!r} must be a boolean, got {cfg[key]!r}")
+def _given(opts: dict, *keys: str) -> dict:
+    """The `keys` the config sets; the library defaults the others."""
+    return {key: opts[key] for key in keys if key in opts}
 
 
 def _header(cfg: dict, grid: GridSpec | None, seed: int | None) -> dict[str, str]:
@@ -99,55 +134,41 @@ def _header(cfg: dict, grid: GridSpec | None, seed: int | None) -> dict[str, str
     return head
 
 
-def _initial_field(cfg: dict, grid: GridSpec, seed: int | None) -> Field:
-    kind = cfg["initial"]
-    if kind == "soliton":
-        params = SolitonParams(
-            carrier=_as_float(cfg, "soliton_carrier"),
-            scale=_as_float(cfg, "soliton_scale"),
-        )
-        return soliton_field(params, 0.0, grid)
-    if kind == "file":
-        if "file" not in cfg:
-            raise ConfigError("initial=file requires the 'file' config key")
-        f = read_field(cfg["file"])
+def _initial_field(
+    opts: dict, grid: GridSpec, seed: int | None
+) -> tuple[Field, SolitonParams | None]:
+    """The initial field, and its soliton parameters for ``initial = soliton``."""
+    if opts["initial"] == "soliton":
+        params = SolitonParams(carrier=opts["soliton_carrier"], scale=opts["soliton_scale"])
+        return soliton_field(params, 0.0, grid), params
+    if opts["initial"] == "file":
+        f = read_field(opts["file"])
         if f.grid != grid:
             raise ConfigError(
                 f"field file grid {f.grid} does not match configured grid {grid}"
             )
-        return f
-    if kind == "random":
-        rng = np.random.default_rng(0 if seed is None else seed)
-        amplitude = _as_float(cfg, "amplitude") if "amplitude" in cfg else 0.5
-        max_xi = _as_float(cfg, "max_xi") if "max_xi" in cfg else 6.0
-        coef = np.exp(-((grid.xi / (max_xi / 2.0)) ** 2)) * (
-            rng.standard_normal(grid.points) + 1j * rng.standard_normal(grid.points)
-        )
-        coef[np.abs(grid.xi) > max_xi] = 0.0
-        f = inverse_transform(SpectralField(grid, coef))
-        peak = float(np.max(np.abs(f.values)))
-        if amplitude == 0.0 or peak == 0.0:
-            return Field.zero(grid)
-        return Field(grid, (amplitude / peak) * f.values)
-    raise ConfigError(f"initial must be soliton|file|random, got {kind!r}")
+        return f, None
+    rng = np.random.default_rng(0 if seed is None else seed)
+    amplitude, max_xi = opts["amplitude"], opts["max_xi"]
+    coef = np.exp(-((grid.xi / (max_xi / 2.0)) ** 2)) * (
+        rng.standard_normal(grid.points) + 1j * rng.standard_normal(grid.points)
+    )
+    coef[np.abs(grid.xi) > max_xi] = 0.0
+    f = inverse_transform(SpectralField(grid, coef))
+    peak = float(np.max(np.abs(f.values)))
+    if amplitude == 0.0 or peak == 0.0:
+        return Field.zero(grid), None
+    return Field(grid, (amplitude / peak) * f.values), None
 
 
 def cmd_solve(cfg: dict, out: Path, seed: int | None) -> int:
-    _check_keys(cfg, "solve")
-    grid = GridSpec(length=_as_float(cfg, "length"), points=_as_int(cfg, "points"))
-    t_final = _as_float(cfg, "t_final")
-    sign = _as_int(cfg, "sign") if "sign" in cfg else 1
-    solver_cfg = SolverConfig(
-        dt=_as_float(cfg, "dt"),
-        sign=sign,
-        mass_tol=_as_float(cfg, "mass_tol") if "mass_tol" in cfg else 1e-8,
-    )
-    f0 = _initial_field(cfg, grid, seed)
-    record_every = _as_int(cfg, "record_every")
-    result = evolve(f0, t_final, solver_cfg, record_every)
+    opts = _parse(cfg, "solve")
+    grid = GridSpec(length=opts["length"], points=opts["points"])
+    t_final = opts["t_final"]
+    solver_cfg = SolverConfig(dt=opts["dt"], **_given(opts, "sign", "mass_tol"))
+    f0, soliton = _initial_field(opts, grid, seed)
+    result = evolve(f0, t_final, solver_cfg, opts["record_every"])
     traj, final = result.trajectory, result.final
-    norm_s = _as_float(cfg, "norm_s") if "norm_s" in cfg else 0.0
-    norm_p = _as_float(cfg, "norm_p") if "norm_p" in cfg else 2.0
 
     rows = []
     for i in range(traj.n_times):
@@ -157,10 +178,10 @@ def cmd_solve(cfg: dict, out: Path, seed: int | None) -> int:
             "t": float(traj.times[i]),
             "mass": inv["mass"],
             "momentum": inv["momentum"],
-            "modulation_norm": modulation_norm(f, norm_s, norm_p),
+            "modulation_norm": modulation_norm(f, opts["norm_s"], opts["norm_p"]),
         })
     header = _header(cfg, grid, seed)
-    write_trajectory(out / "trajectory.bin", traj, solver_cfg.dt, sign)
+    write_trajectory(out / "trajectory.bin", traj, solver_cfg.dt, solver_cfg.sign)
     write_csv(
         out / "invariants.csv",
         ["t", "mass", "momentum", "modulation_norm"],
@@ -168,12 +189,8 @@ def cmd_solve(cfg: dict, out: Path, seed: int | None) -> int:
         header=header,
     )
     write_field(out / "final_state.bin", final)
-    if cfg["initial"] == "soliton":
-        params = SolitonParams(
-            carrier=_as_float(cfg, "soliton_carrier"),
-            scale=_as_float(cfg, "soliton_scale"),
-        )
-        exact = soliton_field(params, t_final, grid)
+    if soliton is not None:
+        exact = soliton_field(soliton, t_final, grid)
         err = Field(grid, final.values - exact.values).l2_norm() / exact.l2_norm()
         print(f"final relative L2 error vs exact soliton: {err:.3e}")
     print(f"solve: wrote {traj.n_times} snapshots to {out}")
@@ -181,20 +198,15 @@ def cmd_solve(cfg: dict, out: Path, seed: int | None) -> int:
 
 
 def cmd_illposed(cfg: dict, out: Path, seed: int | None, jobs: int) -> int:
-    _check_keys(cfg, "illposed")
-    n_min = _as_float(cfg, "N_min")
-    n_max = _as_float(cfg, "N_max")
-    k_min, k_max = math.log2(n_min), math.log2(n_max)
-    if abs(k_min - round(k_min)) > 1e-9 or abs(k_max - round(k_max)) > 1e-9:
-        raise ConfigError("N_min and N_max must be powers of two")
-    carriers = tuple(2.0**k for k in range(round(k_min), round(k_max) + 1))
+    opts = _parse(cfg, "illposed")
+    # N_min and N_max parse to their base-2 exponents
+    k_min, k_max = round(opts["N_min"]), round(opts["N_max"])
     plan = ExperimentPlan(
-        s=_as_float(cfg, "s"),
-        p=_as_float(cfg, "p"),
-        t_final=_as_float(cfg, "T"),
-        carriers=carriers,
-        theta=_as_float(cfg, "theta") if "theta" in cfg else None,
-        use_solver=_as_bool(cfg, "use_solver") if "use_solver" in cfg else False,
+        s=opts["s"],
+        p=opts["p"],
+        t_final=opts["T"],
+        carriers=tuple(2.0**k for k in range(k_min, k_max + 1)),
+        **_given(opts, "theta", "use_solver"),
     )
     records = run_sweep(plan, jobs=jobs)
     verdict = verify_lemma(records, plan)
@@ -213,16 +225,8 @@ def cmd_illposed(cfg: dict, out: Path, seed: int | None, jobs: int) -> int:
 
 
 def cmd_probe(cfg: dict, out: Path, seed: int | None) -> int:
-    _check_keys(cfg, "probe")
-    raw = cfg["probes"].strip()
-    names = [p.strip() for p in raw.split(",") if p.strip()]
-    corpus_seed = _as_int(cfg, "corpus_seed") if "corpus_seed" in cfg else None
-    corpus_size = _as_int(cfg, "corpus_size") if "corpus_size" in cfg else None
-    reports = (
-        run_probe_suite(names, corpus_seed=corpus_seed, corpus_size=corpus_size)
-        if names
-        else []
-    )
+    opts = _parse(cfg, "probe")
+    reports = run_probe_suite(opts["probes"], **_given(opts, "corpus_seed", "corpus_size"))
     write_json(
         out / "probes.json",
         {"reports": [r.to_dict() for r in reports]},
@@ -241,12 +245,9 @@ def cmd_probe(cfg: dict, out: Path, seed: int | None) -> int:
 
 
 def cmd_norms(cfg: dict, out: Path) -> int:
-    _check_keys(cfg, "norms")
-    field_path = Path(cfg["field"])
-    if not field_path.is_file():
-        raise ConfigError(f"field file not found: {field_path}")
-    f = read_field(field_path)
-    s, p = _as_float(cfg, "s"), _as_float(cfg, "p")
+    opts = _parse(cfg, "norms")
+    f = read_field(opts["field"])
+    s, p = opts["s"], opts["p"]
     values = {
         "sobolev": sobolev_norm(f, s),
         "fourier_lebesgue": fourier_lebesgue_norm(f, s, p),
@@ -286,6 +287,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {args.seed}")
         out.mkdir(parents=True, exist_ok=True)
         cfg = read_config(Path(args.config))
         if args.command == "solve":

@@ -105,8 +105,8 @@ def choose_parameters(
     s: float, p: float, t_final: float, n: float, theta: float | None = None
 ) -> ParameterChoice:
     """Scale, frequency-separation angle, and the two carriers for one sweep point."""
-    if not t_final > 0:
-        raise ValueError("T must be positive")
+    if not 0 < t_final < math.inf:
+        raise ValueError(f"T must be positive and finite, got {t_final}")
     if not n > 1:
         raise ValueError(f"carrier must exceed 1, got {n}")
     th = _default_theta(s, p) if theta is None else theta
@@ -130,7 +130,6 @@ class ExperimentPlan:
     carriers: tuple[float, ...]
     theta: float | None = None
     use_solver: bool = False
-    grid_check: bool = True
 
     def __post_init__(self) -> None:
         if not self.carriers:
@@ -270,43 +269,40 @@ def run_point(plan: ExperimentPlan, n: float) -> ExperimentRecord:
     outside = np.abs(n_values - n) >= n**th
     tail = _lp(_jap(n_values[outside]) ** s * masses_u[outside], p)
 
-    grid_norm_u = grid_diff0 = grid_difft = solver_error = None
-    solver_here = plan.use_solver and n == min(plan.carriers)
-    if plan.grid_check or solver_here:
-        separation = 3.0 * abs(pb.carrier**2 - pa.carrier**2) * plan.t_final
-        cube_margin = max(n**th, 4.0)
-        xi_top = max(pa.carrier, pb.carrier)
-        if plan.grid_check:
-            # the pair's spectra only: a grid centred between the carriers
-            grid = plan_grid(
-                lam, xi_top, separation, cube_margin, xi_bottom=min(pa.carrier, pb.carrier)
+    separation = 3.0 * abs(pb.carrier**2 - pa.carrier**2) * plan.t_final
+    cube_margin = max(n**th, 4.0)
+    xi_top = max(pa.carrier, pb.carrier)
+    # the pair's spectra only: a grid centred between the carriers
+    grid = plan_grid(
+        lam, xi_top, separation, cube_margin, xi_bottom=min(pa.carrier, pb.carrier)
+    )
+    ua0 = soliton_field(pa, 0.0, grid)
+    ub0 = soliton_field(pb, 0.0, grid)
+    uat = soliton_field(pa, plan.t_final, grid)
+    ubt = soliton_field(pb, plan.t_final, grid)
+    grid_norm_u = modulation_norm(ua0, s, p)
+    grid_diff0 = modulation_norm(Field(grid, ua0.values - ub0.values), s, p)
+    grid_difft = modulation_norm(Field(grid, uat.values - ubt.values), s, p)
+    for got, want, label in (
+        (grid_norm_u, norm_u, "norm_u"),
+        (grid_diff0, diff0, "diff0"),
+        (grid_difft, difft, "diffT"),
+    ):
+        if abs(got - want) > AGREEMENT_TOL * want:
+            raise RuntimeError(
+                f"grid/quadrature disagreement on {label} at N = {n}: "
+                f"{got!r} vs {want!r}"
             )
-            ua0 = soliton_field(pa, 0.0, grid)
-            ub0 = soliton_field(pb, 0.0, grid)
-            uat = soliton_field(pa, plan.t_final, grid)
-            ubt = soliton_field(pb, plan.t_final, grid)
-            grid_norm_u = modulation_norm(ua0, s, p)
-            grid_diff0 = modulation_norm(Field(grid, ua0.values - ub0.values), s, p)
-            grid_difft = modulation_norm(Field(grid, uat.values - ubt.values), s, p)
-            for got, want, label in (
-                (grid_norm_u, norm_u, "norm_u"),
-                (grid_diff0, diff0, "diff0"),
-                (grid_difft, difft, "diffT"),
-            ):
-                if abs(got - want) > AGREEMENT_TOL * want:
-                    raise RuntimeError(
-                        f"grid/quadrature disagreement on {label} at N = {n}: "
-                        f"{got!r} vs {want!r}"
-                    )
-        if solver_here:
-            # the solver runs on offset-0 grids only, so it gets |xi| <= xi_top
-            grid = plan_grid(lam, xi_top, separation, cube_margin, for_solver=True)
-            solver_error = _solver_cross_check(pa, plan.t_final, grid)
-            if solver_error > 1e-4:
-                raise RuntimeError(
-                    f"solver cross-check failed at N = {n}: relative error "
-                    f"{solver_error:.3e} > 1e-4"
-                )
+    solver_error = None
+    if plan.use_solver and n == min(plan.carriers):
+        # the solver runs on offset-0 grids only, so it gets |xi| <= xi_top
+        grid = plan_grid(lam, xi_top, separation, cube_margin, for_solver=True)
+        solver_error = _solver_cross_check(pa, plan.t_final, grid)
+        if solver_error > 1e-4:
+            raise RuntimeError(
+                f"solver cross-check failed at N = {n}: relative error "
+                f"{solver_error:.3e} > 1e-4"
+            )
 
     return ExperimentRecord(
         carrier=n,

@@ -62,6 +62,8 @@ _TABLE_CACHE_BYTES = 8 * 2**20
 
 def _lp(values: np.ndarray, p: float) -> float:
     """l^p aggregation, sup for p = inf; values are nonnegative."""
+    if not p >= 1:  # written so that nan is refused too
+        raise ValueError(f"p must satisfy p >= 1, got {p}")
     if math.isinf(p):
         return float(np.max(values)) if values.size else 0.0
     # scale out the peak so large p does not underflow
@@ -87,8 +89,6 @@ def sobolev_norm(f: Field, s: float) -> float:
 
 def fourier_lebesgue_norm(f: Field, s: float, p: float) -> float:
     """FL^{s,p} norm: discrete L^p_xi norm of <xi>^s u_hat."""
-    if p < 1:
-        raise ValueError(f"p must satisfy p >= 1, got {p}")
     F = forward_transform(f)
     weighted = _jap(f.grid.xi) ** s * np.abs(F.coefficients)
     return float(_lp(weighted, p) * f.grid.dxi ** (1.0 / p))
@@ -135,8 +135,6 @@ def cube_l2_profile(f: Field, window=cos2_window) -> tuple[np.ndarray, np.ndarra
 
 def modulation_norm(f: Field, s: float, p: float, window=cos2_window) -> float:
     """M^{2,p}_s norm: l^p over <n>^s-weighted unit-cube L^2 masses."""
-    if p < 1:
-        raise ValueError(f"p must satisfy p >= 1, got {p}")
     n_values, masses = cube_l2_profile(f, window=window)
     return _lp(_jap(n_values) ** s * masses, p)
 
@@ -304,8 +302,6 @@ def xsb_p_norm(u: SpaceTimeField, s: float, b: float, p: float) -> float:
     weighted by <n>^s and aggregated in l^p_n.  At p = 2 this agrees with
     :func:`xsb_norm` up to the <n>-vs-<xi> weight equivalence on each cube.
     """
-    if p < 1:
-        raise ValueError(f"p must satisfy p >= 1, got {p}")
     st = _space_time_coefficients(u)
     xi = u.grid.xi
     w_tau = _modulation_weight(u.grid, u.t_window, u.n_times, b)

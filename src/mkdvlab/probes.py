@@ -490,16 +490,17 @@ def run_probe_suite(
 
     Overriding corpus_seed/corpus_size runs the same probe families on a
     fresh corpus and reports raw ratios without calibration comparison (the
-    stored constants only bind the frozen corpus).  A corpus_size below 1, or
-    one that gives a selected family no sample, raises :class:`ConfigError`.
+    stored constants only bind the frozen corpus).  An unknown probe name, a
+    corpus_size below 1, or one that gives a selected family no sample, raises
+    :class:`ConfigError`.
     """
     cal = load_calibration()
     frozen = (corpus_seed in (None, CORPUS_SEED)) and (corpus_size in (None, CORPUS_SIZE))
-    available = ["resonance", "bilinear_cube", "bilinear_lp", "trilinear", "convolution"]
+    available = ["resonance", *(n for n in _FAMILIES if n != "xsb_free_evolution")]
     names = available if selected is None else selected
     unknown = set(names) - set(available)
     if unknown:
-        raise ValueError(f"unknown probes: {sorted(unknown)}; available: {available}")
+        raise ConfigError(f"unknown probes: {sorted(unknown)}; available: {available}")
     size = CORPUS_SIZE if corpus_size is None else corpus_size
     if size < 1:
         raise ConfigError(f"corpus_size must be >= 1, got {size}")

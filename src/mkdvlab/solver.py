@@ -273,6 +273,8 @@ def evolve(
     trajectory is directly usable by the space-time norms.  Without it only
     the terminal state is kept.
     """
+    if not np.isfinite(t_final):
+        raise ValueError(f"the horizon T = {t_final} must be finite")
     grid = f0.grid
     n_steps = round(t_final / cfg.dt)
     if n_steps < 1 or abs(n_steps * cfg.dt - t_final) > 1e-8 * max(abs(t_final), 1.0):

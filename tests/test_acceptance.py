@@ -68,7 +68,7 @@ def nonneg_sweep():
     plan = ExperimentPlan(
         s=0.125, p=4.0, t_final=1.0,
         carriers=tuple(float(2**k) for k in range(4, 11)),
-        theta=0.125, grid_check=True,
+        theta=0.125,
     )
     t0 = time.perf_counter()
     records = run_sweep(plan)
@@ -209,7 +209,7 @@ class TestCriterion4NonnegRegime:
         plan = ExperimentPlan(
             s=0.125, p=4.0, t_final=1.0,
             carriers=tuple(float(2**k) for k in range(10, 15)),
-            theta=0.125, grid_check=False,
+            theta=0.125,
         )
         records = run_sweep(plan)
         fit = fit_exponent(records, "diff0")
@@ -228,7 +228,7 @@ class TestCriterion4NonnegRegime:
         plan = ExperimentPlan(
             s=0.125, p=4.0, t_final=1.0,
             carriers=tuple(float(2**k) for k in range(10, 15)),
-            theta=0.125, grid_check=True,
+            theta=0.125,
         )
         assert AGREEMENT_TOL == 1e-4
         records = run_sweep(plan)
@@ -267,7 +267,7 @@ class TestCriterion5NegRegime:
         plan = ExperimentPlan(
             s=-0.125, p=4.0, t_final=1.0,
             carriers=tuple(float(2**k) for k in range(4, 11)),
-            theta=0.55, grid_check=True,
+            theta=0.55,
         )
         records = run_sweep(plan)
         verdict = verify_lemma(records, plan)

@@ -60,6 +60,10 @@ class TestChooseParameters:
         with pytest.raises(ValueError, match="theta"):
             choose_parameters(-0.125, 4.0, 1.0, 64.0, theta=0.3)
 
+    def test_rejects_non_finite_horizon(self):
+        with pytest.raises(ValueError, match="T must be positive and finite, got inf"):
+            choose_parameters(0.125, 4.0, np.inf, 64.0)
+
     def test_rejects_s_below_minus_one_over_p(self):
         with pytest.raises(ValueError, match="-1/p"):
             choose_parameters(-0.3, 4.0, 1.0, 64.0)
@@ -108,7 +112,7 @@ class TestRunPoint:
     def test_identical_carriers_give_zero_difference(self):
         # force N1 = N2 by zero separation: build the record by hand through
         # run_point on a tiny-separation plan and check diff0 scales with it
-        plan = small_plan(carriers=(16.0,), grid_check=False)
+        plan = small_plan(carriers=(16.0,))
         rec = run_point(plan, 16.0)
         assert rec.diff0 > 0  # genuine pair separation
         from mkdvlab.solitons import SolitonParams, pair_difference_modsq
@@ -126,7 +130,7 @@ class TestRunPoint:
         assert abs(rec.grid_difft - rec.difft) <= 1e-4 * rec.difft
 
     def test_solver_cross_check_on_smallest_carrier(self):
-        plan = small_plan(carriers=(16.0, 32.0), use_solver=True, grid_check=False)
+        plan = small_plan(carriers=(16.0, 32.0), use_solver=True)
         rec = run_point(plan, 16.0)
         assert rec.solver_error is not None
         assert rec.solver_error <= 1e-4
@@ -135,19 +139,19 @@ class TestRunPoint:
 
     def test_norm_stability_across_sweep(self):
         # solution norms stay within a factor 3 from the smallest to largest N
-        plan = small_plan(carriers=(16.0, 256.0), grid_check=False)
+        plan = small_plan(carriers=(16.0, 256.0))
         r16 = run_point(plan, 16.0)
         r256 = run_point(plan, 256.0)
         assert r256.norm_u / r16.norm_u < 3.0
         assert r256.norm_u / r16.norm_u > 1.0 / 3.0
 
     def test_difft_dominates_floor(self):
-        plan = small_plan(carriers=(64.0,), grid_check=False)
+        plan = small_plan(carriers=(64.0,))
         rec = run_point(plan, 64.0)
         assert rec.difft >= 0.3 * rec.norm_u
 
     def test_triangle_inequality_sanity(self):
-        plan = small_plan(carriers=(16.0, 64.0), grid_check=False)
+        plan = small_plan(carriers=(16.0, 64.0))
         for n in plan.carriers:
             rec = run_point(plan, n)
             assert rec.difft <= rec.norm_u + rec.norm_v + 1e-12
@@ -204,7 +208,7 @@ class TestFitExponent:
 
 @pytest.fixture(scope="module")
 def nonneg_result():
-    plan = small_plan(carriers=(16.0, 32.0, 64.0, 128.0, 256.0), grid_check=False)
+    plan = small_plan(carriers=(16.0, 32.0, 64.0, 128.0, 256.0))
     records = run_sweep(plan)
     return plan, records, verify_lemma(records, plan)
 
@@ -241,7 +245,7 @@ class TestVerdict:
         assert not verdict.passed
 
     def test_parallel_sweep_matches_serial(self):
-        plan = small_plan(grid_check=False)
+        plan = small_plan()
         serial = run_sweep(plan, jobs=1)
         parallel = run_sweep(plan, jobs=2)
         for a, b in zip(serial, parallel):
@@ -253,7 +257,7 @@ class TestNegRegime:
         plan = ExperimentPlan(
             s=-0.125, p=4.0, t_final=1.0,
             carriers=(16.0, 32.0, 64.0, 128.0, 256.0),
-            theta=0.55, grid_check=False,
+            theta=0.55,
         )
         records = run_sweep(plan)
         verdict = verify_lemma(records, plan)

@@ -1,13 +1,15 @@
 """Tests for config parsing, snapshot round-trips, and the CLI."""
 
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mkdvlab import cli, solitons
 from mkdvlab.cli import main
-from mkdvlab import solitons
 from mkdvlab.io import (
     ConfigError,
     SnapshotError,
@@ -377,3 +379,46 @@ class TestCliNorms:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "coarse.bin" in err
         assert err.count("\n") == 1
+
+
+SOLVE_RUN = "length=128\npoints=1024\nt_final=0.02\ndt=0.00125\nrecord_every=4\n"
+SOLITON_SOLVE = "initial=soliton\nsoliton_carrier=2.0\nsoliton_scale=1.0\n" + SOLVE_RUN
+ILLPOSED = "s=0.125\np=4\nT=1.0\ntheta=0.125\n"
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "command, text, flags",
+        [
+            ("solve", SOLITON_SOLVE.replace("soliton_carrier=2.0\n", ""), []),
+            ("solve", "initial=file\nfile={tmp}/absent.bin\n" + SOLVE_RUN, []),
+            ("illposed", ILLPOSED + "N_min=inf\nN_max=inf\n", []),
+            ("illposed", ILLPOSED + "N_min=0\nN_max=128\n", []),
+            ("solve", SOLITON_SOLVE.replace("t_final=0.02", "t_final=inf"), []),
+            ("norms", "field={tmp}/sech.bin\ns=nan\np=2\n", []),
+            ("norms", "field={tmp}/sech.bin\ns=0\np=nan\n", []),
+            ("probe", "probes=trilinear\ncorpus_seed=-1\n", []),
+            ("probe", "probes=foo\n", []),
+            ("solve", SOLITON_SOLVE, ["--seed", "-1"]),
+        ],
+        ids=[
+            "soliton-without-carrier", "missing-file", "N-inf", "N-zero", "t_final-inf",
+            "norms-s-nan", "norms-p-nan", "corpus_seed-negative", "unknown-probe",
+            "seed-negative",
+        ],
+    )
+    def test_exits_2_with_one_line(self, tmp_path, capsys, command, text, flags):
+        grid = GridSpec(length=128.0, points=2048)
+        write_field(tmp_path / "sech.bin", Field.from_function(grid, lambda x: 1 / np.cosh(x)))
+        cfg = write_cfg(tmp_path, "c.cfg", text.format(tmp=tmp_path))
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "out"), *flags])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_readme_table_lists_every_key(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        listed: dict[str, set[str]] = {}
+        for command, key in re.findall(r"^\| `(\w+)` \| `(\w+)` \|", readme, re.M):
+            listed.setdefault(command, set()).add(key)
+        assert listed == {command: set(schema) for command, schema in cli._SCHEMAS.items()}

@@ -293,6 +293,18 @@ class TestXsb:
             5.0 * xsb_p_norm(u, 0.25, 0.5, 4.0), rel=1e-12
         )
 
+    @pytest.mark.parametrize("p", [0.5, math.nan])
+    def test_p_below_one_refused_by_every_lp_norm(self, st_corpus, p):
+        f = st_corpus[0]
+        u = free_evolution(f, 1.0, 256)
+        for norm in (
+            lambda: modulation_norm(f, 0.0, p),
+            lambda: fourier_lebesgue_norm(f, 0.0, p),
+            lambda: xsb_p_norm(u, 0.0, 0.5, p),
+        ):
+            with pytest.raises(ValueError, match="p must satisfy p >= 1"):
+                norm()
+
     def test_under_resolved_dispersion_rejected(self, st_grid):
         f = spectrum_field(st_grid, lambda xi: np.exp(-(((np.abs(xi) - 10.0) / 0.5) ** 2)))
         u = free_evolution(f, 1.0, 16)  # tau_max ~ 50 << 10^3

@@ -157,6 +157,11 @@ class TestEvolve:
         with pytest.raises(ValueError, match="whole number"):
             evolve(f0, 0.1, SolverConfig(dt=3e-3)).final
 
+    def test_rejects_non_finite_horizon(self, grid):
+        f0 = small_random_field(grid)
+        with pytest.raises(ValueError, match="horizon T = inf must be finite"):
+            evolve(f0, math.inf, SolverConfig(dt=1e-3))
+
     def test_evolution_deterministic(self, grid):
         f0 = small_random_field(grid, seed=12, amplitude=0.2)
         a = evolve(f0, 0.2, SolverConfig(dt=1e-3)).final
