@@ -40,6 +40,7 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
 
 #: value parsers: (what they accept, conversion, test of the converted value)
 _NUMBER = ("a finite number", float, math.isfinite)
+_POSITIVE = ("a positive number", float, lambda x: 0 < x < math.inf)
 _NUMBER_OR_INF = ("a number or inf", float, lambda x: x == math.inf or math.isfinite(x))
 _INTEGER = ("an integer", int, None)
 _BOOLEAN = ("true/false, yes/no, on/off or 1/0", lambda raw: _BOOLEANS[raw.lower()], None)
@@ -68,7 +69,7 @@ _SCHEMAS = {
         "soliton_scale": (_NUMBER, _UNSET),
         "file": (_FILE, _UNSET),
         "amplitude": (_NUMBER, 0.5),
-        "max_xi": (_NUMBER, 6.0),
+        "max_xi": (_POSITIVE, 6.0),
         "norm_s": (_NUMBER, 0.0),
         "norm_p": (_NUMBER_OR_INF, 2.0),
     },

@@ -34,6 +34,7 @@ from .spectral import (
     GridSpec,
     ResolutionError,
     _coefficients,
+    _coefficients_in_place,
     _samples,
     _scaled_squares,
     cos2_window,
@@ -253,11 +254,13 @@ def _space_time_coefficients(u: SpaceTimeField) -> np.ndarray:
     """Windowed double transform: the (K, M) coefficients on the (tau, xi) lattice.
 
     Checks that the temporal band resolves the xi^3 dispersion of the occupied
-    spatial band and reports the snapshot count that would.
+    spatial band and reports the snapshot count that would.  The windowed
+    samples are the one (K, M) array it allocates: both transforms and the
+    dt scaling are written into it in place, and ``u`` is only read.
     """
     g = u.grid
     k = u.n_times
-    spatial = _coefficients(u.windowed_samples(), g)
+    spatial = _coefficients_in_place(u.windowed_samples(), g)
     col_peak = np.max(np.abs(spatial), axis=0)
     peak = float(np.max(col_peak))
     tau_nyq = np.pi * k / u.t_window
@@ -271,7 +274,8 @@ def _space_time_coefficients(u: SpaceTimeField) -> np.ndarray:
                 f"dispersion xi^3 = {xi_occ ** 3:.4g} of the occupied band; "
                 f"need at least K = {k_need} snapshots"
             )
-    return u.dt * np.fft.fft(spatial, axis=0)
+    np.fft.fft(spatial, axis=0, out=spatial)
+    return np.multiply(u.dt, spatial, out=spatial)
 
 
 @_table_cache

@@ -181,23 +181,34 @@ def trilinear_ratio(
     on top, a fixed convention absorbed by the calibration constants.
     """
     out_of_range = not (s >= 0.25 and 2.0 <= p < math.inf)
-    f1 = free_evolution(u1, CORPUS_T_WINDOW, n_times)
-    f2 = free_evolution(u2, CORPUS_T_WINDOW, n_times)
-    f3 = free_evolution(u3, CORPUS_T_WINDOW, n_times)
+    return _trilinear_ratio((u1, u2, u3), (0, 1, 2), {}, s, p, n_times), out_of_range
+
+
+def _trilinear_ratio(
+    factors, keys, factor_norms: dict, s: float, p: float, n_times: int
+) -> float:
+    """Body of :func:`trilinear_ratio` for the three ``factors``.
+
+    ``factor_norms`` maps a key to the X^{s,1/2+eps}_p norm of its factor's
+    free evolution.  A factor whose key is there is not normed again; the
+    others are normed and stored, so a caller that passes one dict for many
+    triples of fixed (s, p, n_times) norms each keyed field once.
+    """
+    f1, f2, f3 = (free_evolution(u, CORPUS_T_WINDOW, n_times) for u in factors)
     product = (
         f1.windowed_samples()
         * np.conj(f2.windowed_samples())
         * (f3.cutoff[:, None] * _spatial_derivative_samples(f3))
     )
-    w = SpaceTimeField(u1.grid, CORPUS_T_WINDOW, product)
+    w = SpaceTimeField(factors[0].grid, CORPUS_T_WINDOW, product)
     eps = 0.01
     num = xsb_p_norm(w, s, -0.5 + 2.0 * eps, p)
-    den = (
-        xsb_p_norm(f1, s, 0.5 + eps, p)
-        * xsb_p_norm(f2, s, 0.5 + eps, p)
-        * xsb_p_norm(f3, s, 0.5 + eps, p)
-    )
-    return (0.0 if den == 0.0 else num / den), out_of_range
+    for key, f in zip(keys, (f1, f2, f3)):
+        if key not in factor_norms:
+            factor_norms[key] = xsb_p_norm(f, s, 0.5 + eps, p)
+    d1, d2, d3 = (factor_norms[key] for key in keys)
+    den = d1 * d2 * d3
+    return 0.0 if den == 0.0 else num / den
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +382,14 @@ def _probe_bilinear_lp(fields: list[Field], rng) -> dict:
 
 def _probe_trilinear(fields: list[Field], rng) -> dict:
     size = len(fields)
+    # corpus index -> denominator norm; a field takes part in up to three triples
+    factor_norms = {}
     pairs = []
     for i in _trilinear_indices(size):
         js = (i, (i + 7) % size, (i + 23) % size)
         # inputs capped to |xi| <= 4 so the cubic product stays temporally resolvable
         trip = [_band_limit(fields[j], 4.0) for j in js]
-        r, _ = trilinear_ratio(*trip, s=0.25, p=4.0, n_times=1024)
+        r = _trilinear_ratio(trip, js, factor_norms, 0.25, 4.0, 1024)
         pairs.append((r, "fields ({},{},{})".format(*js)))
     return {**_reduce(pairs), "median": float(np.median([r for r, _ in pairs]))}
 

@@ -11,11 +11,13 @@ approximations of the continuum transform and Parseval reads
     sum_j |u(x_j)|^2 dx = (2 pi)^{-1} sum_k |u_hat(xi_k)|^2 dxi.
 
 The convention lives in one private pair, ``_coefficients`` and ``_samples``,
-which transform along the last axis (a (K, M) trajectory row by row).
-``forward_transform`` and ``inverse_transform`` wrap it for single fields,
-and every multiplier (derivatives, projectors, the Airy group) is one call
-of :func:`fourier_multiplier`.  Only the solver's time loop keeps its own
-unnormalised coefficients.
+which transform along the last axis (a (K, M) trajectory row by row).  Each
+allocates one result array and never writes into its input;
+``_coefficients_in_place`` applies the forward half over an array its caller
+owns.  ``forward_transform`` and ``inverse_transform`` wrap the pair for
+single fields, and every multiplier (derivatives, projectors, the Airy
+group) is one call of :func:`fourier_multiplier`.  Only the solver's time
+loop keeps its own unnormalised coefficients.
 
 A grid may be heterodyned: centred in frequency at xi0 = offset * dxi for an
 even integer offset.  A field on such a grid stores v(x_j) = exp(-i xi0 x_j)
@@ -229,19 +231,30 @@ def require_zero_offset(grid: GridSpec, what: str) -> None:
 def _coefficients(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """dx-weighted DFT along the last axis: u_hat(xi_k) for each row of samples.
 
-    Both halves of the pair drop their input before allocating the result,
-    so a (K, M) temporary passed in is freed, not kept beside two of its size.
+    ``values`` is only read.  The FFT allocates the result, and the dx and
+    phase scaling is written into that array in place, so a (K, M) input
+    costs one (K, M) array.
     """
     spectrum = np.fft.fft(values, axis=-1)
-    del values
-    return grid.dx * grid._phase() * spectrum
+    return np.multiply(grid.dx * grid._phase(), spectrum, out=spectrum)
+
+
+def _coefficients_in_place(buf: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """:func:`_coefficients` of ``buf`` written over ``buf``, a complex array the caller owns."""
+    np.fft.fft(buf, axis=-1, out=buf)
+    return np.multiply(grid.dx * grid._phase(), buf, out=buf)
 
 
 def _samples(coef: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Exact inverse of :func:`_coefficients`, along the last axis."""
+    """Exact inverse of :func:`_coefficients`, along the last axis.
+
+    ``coef`` is only read.  The phase product allocates the one result
+    array; the inverse FFT and the division by dx are written into it in
+    place.
+    """
     phased = grid._phase() * coef
-    del coef
-    return np.fft.ifft(phased, axis=-1) / grid.dx
+    np.fft.ifft(phased, axis=-1, out=phased)
+    return np.divide(phased, grid.dx, out=phased)
 
 
 def forward_transform(f: Field) -> SpectralField:

@@ -384,6 +384,10 @@ class TestCliNorms:
 SOLVE_RUN = "length=128\npoints=1024\nt_final=0.02\ndt=0.00125\nrecord_every=4\n"
 SOLITON_SOLVE = "initial=soliton\nsoliton_carrier=2.0\nsoliton_scale=1.0\n" + SOLVE_RUN
 ILLPOSED = "s=0.125\np=4\nT=1.0\ntheta=0.125\n"
+RANDOM_SOLVE = (
+    "initial=random\nmax_xi={max_xi}\nlength=64\npoints=256\n"
+    "t_final=0.04\ndt=0.005\nrecord_every=2\n"
+)
 
 
 class TestConfigErrors:
@@ -400,11 +404,13 @@ class TestConfigErrors:
             ("probe", "probes=trilinear\ncorpus_seed=-1\n", []),
             ("probe", "probes=foo\n", []),
             ("solve", SOLITON_SOLVE, ["--seed", "-1"]),
+            ("solve", RANDOM_SOLVE.format(max_xi=0), []),
+            ("solve", RANDOM_SOLVE.format(max_xi=-1), []),
         ],
         ids=[
             "soliton-without-carrier", "missing-file", "N-inf", "N-zero", "t_final-inf",
             "norms-s-nan", "norms-p-nan", "corpus_seed-negative", "unknown-probe",
-            "seed-negative",
+            "seed-negative", "max_xi-zero", "max_xi-negative",
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, command, text, flags):

@@ -23,6 +23,8 @@ from mkdvlab.spectral import (
     GridSpec,
     ResolutionError,
     SpectralField,
+    _coefficients,
+    _samples,
     forward_transform,
     inverse_transform,
     littlewood_paley,
@@ -349,6 +351,48 @@ def xsb_p_norm_uncached(u, s, b, p):
     block2 = np.zeros(n_values.size)
     np.add.at(block2, cubes - cubes.min(), col)
     return math.ldexp(norms._lp(norms._jap(n_values) ** s * np.sqrt(block2), p), e)
+
+
+# test-local allocating longhand of the transform pipeline, in the operand
+# order of the library
+
+
+def coefficients_longhand(values, g):
+    return g.dx * g._phase() * np.fft.fft(values, axis=-1)
+
+
+def samples_longhand(coef, g):
+    return np.fft.ifft(g._phase() * coef, axis=-1) / g.dx
+
+
+def space_time_coefficients_longhand(u):
+    spatial = coefficients_longhand(u.cutoff[:, None] * u.samples, u.grid)
+    return u.dt * np.fft.fft(spatial, axis=0)
+
+
+class TestInPlacePipeline:
+    # dx = 100 / 512 is not a power of two, so scaling by dx rounds
+    @pytest.mark.parametrize("length, points", [(100.0, 512), (64.0, 256)])
+    @pytest.mark.parametrize("k", [16, 256, 1024])
+    def test_matches_allocating_longhand_and_leaves_inputs(self, length, points, k):
+        g = GridSpec(length=length, points=points)
+        rng = np.random.default_rng(points + k)
+        stack = rng.standard_normal((k, points)) + 1j * rng.standard_normal((k, points))
+        kept = stack.copy()
+        coef = _coefficients(stack, g)
+        assert np.array_equal(stack, kept)
+        assert np.array_equal(coef, coefficients_longhand(stack, g))
+        kept = coef.copy()
+        back = _samples(coef, g)
+        assert np.array_equal(coef, kept)
+        assert np.array_equal(back, samples_longhand(coef, g))
+        # |xi| <= 2 keeps the dispersion resolved at K = 16 over a unit window
+        band = samples_longhand(np.where(np.abs(g.xi) <= 2.0, coef, 0.0), g)
+        u = SpaceTimeField(g, 1.0, band)
+        kept = u.samples.copy()
+        st = norms._space_time_coefficients(u)
+        assert np.array_equal(u.samples, kept)
+        assert np.array_equal(st, space_time_coefficients_longhand(u))
 
 
 class TestCachedTables:

@@ -1,5 +1,6 @@
 """Tests for the estimate probes and their calibration machinery."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -198,6 +199,34 @@ class TestTrilinear:
         u = inverse_transform(SpectralField(grid, coef))
         ratio, _ = trilinear_ratio(u, u, u, 0.25, 4.0, n_times=1024)
         assert ratio <= 10.0 * median
+
+
+class TestTrilinearFamily:
+    def test_each_field_normed_once_and_ratios_match_public(self, monkeypatch):
+        calls = []
+        pairs = []
+        norm, reduce = probes.xsb_p_norm, probes._reduce
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:])  # (s, b, p); the trajectory is not kept
+            return norm(*args, **kwargs)
+
+        def recording(items):
+            pairs.extend(items)
+            return reduce(pairs)
+
+        monkeypatch.setattr(probes, "xsb_p_norm", counting)
+        monkeypatch.setattr(probes, "_reduce", recording)
+        run_probe_suite(["trilinear"], corpus_seed=7, corpus_size=40)
+        triples = [tuple(int(j) for j in re.findall(r"\d+", label)) for _, label in pairs]
+        distinct = {j for triple in triples for j in triple}
+        # one numerator per triple, one denominator per distinct corpus field
+        assert (len(triples), len(distinct)) == (8, 23)
+        assert len(calls) == len(triples) + len(distinct)
+        fields = make_probe_corpus(seed=7, size=40)
+        for (ratio, _), triple in zip(pairs, triples):
+            trip = [_band_limit(fields[j], 4.0) for j in triple]
+            assert ratio == trilinear_ratio(*trip, 0.25, 4.0, n_times=1024)[0]
 
 
 class TestConvolutionInequality:
