@@ -268,6 +268,8 @@ def apriori_tracking(
     n_snapshots: int = 32,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Modulation norm along the nonlinear evolution: (times, norms)."""
+    if n_snapshots < 1:
+        raise ValueError(f"n_snapshots must be at least 1, got {n_snapshots}")
     n_steps = round(t_final / cfg.dt)
     if n_steps % n_snapshots != 0:
         raise ValueError(

@@ -27,13 +27,14 @@ One evolution owns one ``_Workspace``, which allocates its padded and
 physical buffers, RK4 stage buffers and step constants once; the time loop
 then writes into them through ``out=`` arguments, and each ``nonlin`` call
 returns a fresh array because the four stage derivatives are alive together.
-The arithmetic is the plain RK4 expression evaluated in its original order,
-so results are bit-identical to evaluating it with temporaries.  The twelve
-transforms of a step call numpy's pocketfft kernels (the gufuncs behind
-``np.fft``, present since numpy 2.0) directly with the normalisation factor
-``np.fft`` passes, which skips its per-call argument handling and gives the
-same bits.  The loop works on unnormalised ``np.fft`` coefficients; the
-dx-weighted convention of :mod:`mkdvlab.spectral` is not used inside it.
+The RK4 combination is the plain expression evaluated in its original
+order.  The twelve transforms of a step call numpy's pocketfft kernels (the
+gufuncs behind ``np.fft``, present since numpy 2.0) directly, which skips
+``np.fft``'s per-call argument handling.  The kernels' factors carry the
+scalings of the padded cubic term: ``1 / M`` on both inverse transforms and
+``-sign * 36 / (P/M)`` on the forward one, for a padded length P = 3M/2.
+The loop works on unnormalised ``np.fft`` coefficients; the dx-weighted
+convention of :mod:`mkdvlab.spectral` is not used inside it.
 scipy.fft is not used: the package does not import it at load time.
 """
 
@@ -75,6 +76,13 @@ class MassDriftError(SolverError):
     """Mass drifted beyond tolerance: the run is under-resolved."""
 
 
+def _check_step(dt: float, sign: int) -> None:
+    if dt == 0.0 or not np.isfinite(dt):
+        raise ValueError(f"dt must be a nonzero finite number, got {dt}")
+    if sign not in (-1, 1):
+        raise ValueError(f"sign must be +1 (focusing) or -1, got {sign}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Step size, focusing sign, and drift guard for one evolution."""
@@ -84,10 +92,7 @@ class SolverConfig:
     mass_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.dt == 0.0 or not np.isfinite(self.dt):
-            raise ValueError(f"dt must be a nonzero finite number, got {self.dt}")
-        if self.sign not in (-1, 1):
-            raise ValueError(f"sign must be +1 (focusing) or -1, got {self.sign}")
+        _check_step(self.dt, self.sign)
         if not self.mass_tol > 0:
             raise ValueError("mass_tol must be positive")
 
@@ -99,54 +104,54 @@ class _Workspace:
     only the four M-length stage derivatives (k1..k4 are alive together):
 
     * ``_pad``: (2, P) zero-padded coefficients, row 0 = a, row 1 = i xi a.
-      Only the two outer halves are ever written; the middle keeps the zeros
-      (and the exact signed zeros of ``i xi * 0``) set here.
-    * ``_u``, ``_ux``: P-length physical u and u_x; ``_w``: the P-length
-      product |u|^2 u_x, also used as the inverse-transform scratch.
+      Only the two outer halves of row 0 are ever written; its middle keeps
+      the zeros set here, so row 1 is one full-width product.
+    * ``_u``, ``_ux``: P-length physical u and u_x; ``_ux`` then holds the
+      product |u|^2 u_x and its transform.
     * ``_abs2``: real P-length |u|^2.
-    * ``_s1``, ``_s2``: M-length RK4 stage inputs.
+    * ``_s1``, ``_s2``, ``_e2a``: M-length RK4 stage inputs and e^2 a.
 
-    Every array expression of the plain allocating scheme is kept with its
-    operand order and unfolded scalars, and ``out=`` always names a buffer
-    that is not an input of the product, so the results are bit-identical to
-    it.  Transforms call the pocketfft kernels with ``np.fft``'s factors
-    (``1 / P`` inverse, ``1`` forward): on the 768 padded points of M = 512
-    the ``np.fft`` wrapper takes about 1.6 of the 6 us of an inverse call
-    (AMD EPYC, numpy 2.4.6).  Importing scipy.fft would add set-up time and
-    resident memory to every run of the package.
+    The scalings of the padded scheme ride on pocketfft's kernel factors, so
+    no pass over the data applies them: both inverse transforms get ``1 / M``
+    (the 1/P of ``np.fft.ifft`` times the padding gain P/M; exact for
+    power-of-two M), and the forward transform gets ``-sign * 36 / (P/M)``
+    (exactly -24 at sign +1), which also carries the cubic coefficient.
+    Calling the kernels directly skips ``np.fft``'s per-call argument
+    handling: on the 768 padded points of M = 512 the wrapper takes about
+    1.6 of the 6 us of an inverse call (AMD EPYC, numpy 2.4.6).  Importing
+    scipy.fft would add set-up time and resident memory to every run of the
+    package.
     """
 
     def __init__(self, grid: GridSpec, dt: float, sign: int):
+        _check_step(dt, sign)
         require_zero_offset(grid, "the solver (its padded derivative and dealias band assume xi0 = 0)")
         self.grid = grid
         self.dt = dt
         m = grid.points
         self.m = m
         self.pad = 3 * m // 2
-        self.scale = self.pad / m
-        self.coef = -sign * NONLINEAR_COEFFICIENT
+        self.inv_m = 1.0 / m
+        self.fwd_factor = -sign * NONLINEAR_COEFFICIENT / (self.pad / m)
         xi = grid.xi
         self.exp_half = np.exp(1j * xi**3 * (dt / 2.0))
         self.exp_full = self.exp_half**2
         # retained band: |k| <= M/3, i.e. |xi| <= (2/3) Nyquist
-        k_keep = m // 3
+        self.k_keep = m // 3
         signed_k = np.fft.fftfreq(m, d=1.0 / m)
-        self.band_mask = np.abs(signed_k) <= k_keep
-        self._dropped = slice(k_keep + 1, m - k_keep)
-        self.xi_band_max = grid.dxi * k_keep
+        self.band_mask = np.abs(signed_k) <= self.k_keep
+        self.xi_band_max = grid.dxi * self.k_keep
         xi_pad = 2.0 * np.pi * np.fft.fftfreq(self.pad, d=grid.length / self.pad)
         self.ixi_pad = 1j * xi_pad
-        self.inv_pad = 1.0 / self.pad
         self.last_max_abs2 = 0.0
 
         self._pad = np.zeros((2, self.pad), dtype=np.complex128)
-        self._pad[1] = self.ixi_pad * self._pad[0]
         self._u = np.empty(self.pad, dtype=np.complex128)
         self._ux = np.empty(self.pad, dtype=np.complex128)
-        self._w = np.empty(self.pad, dtype=np.complex128)
         self._abs2 = np.empty(self.pad, dtype=np.float64)
         self._s1 = np.empty(m, dtype=np.complex128)
         self._s2 = np.empty(m, dtype=np.complex128)
+        self._e2a = np.empty(m, dtype=np.complex128)
 
         self.half_dt = 0.5 * dt
         self.dt_exp_half = dt * self.exp_half
@@ -160,28 +165,23 @@ class _Workspace:
         ``track_max`` it also stores max |u|^2 in ``last_max_abs2`` for
         :meth:`cfl_check`.
         """
-        half = self.m // 2
+        m, half, keep = self.m, self.m // 2, self.k_keep
         ap, iap = self._pad
-        u, ux, w, abs2 = self._u, self._ux, self._w, self._abs2
+        u, ux, abs2 = self._u, self._ux, self._abs2
         ap[:half] = a[:half]
         ap[-half:] = a[half:]
-        np.multiply(self.ixi_pad[:half], ap[:half], out=iap[:half])
-        np.multiply(self.ixi_pad[-half:], ap[-half:], out=iap[-half:])
-        _ifft_kernel(ap, self.inv_pad, out=w)
-        np.multiply(w, self.scale, out=u)
-        _ifft_kernel(iap, self.inv_pad, out=w)
-        np.multiply(w, self.scale, out=ux)
+        np.multiply(self.ixi_pad, ap, out=iap)
+        _ifft_kernel(ap, self.inv_m, out=u)
+        _ifft_kernel(iap, self.inv_m, out=ux)
         np.abs(u, out=abs2)
         np.square(abs2, out=abs2)
         if track_max:
-            self.last_max_abs2 = float(np.max(abs2))
-        np.multiply(self.coef, abs2, out=abs2)
-        np.multiply(abs2, ux, out=w)
-        _fft_kernel(w, 1.0, out=w)
-        out = np.empty(self.m, dtype=np.complex128)
-        np.divide(w[:half], self.scale, out=out[:half])
-        np.divide(w[-half:], self.scale, out=out[half:])
-        out[self._dropped] = 0.0
+            self.last_max_abs2 = float(abs2.max())
+        np.multiply(abs2, ux, out=ux)
+        _fft_kernel(ux, self.fwd_factor, out=ux)
+        out = np.zeros(m, dtype=np.complex128)
+        out[: keep + 1] = ux[: keep + 1]
+        out[m - keep :] = ux[self.pad - keep :]
         return out
 
     def cfl_check(self) -> None:
@@ -202,7 +202,7 @@ class _Workspace:
         a' = e^2 a + h/6 (e^2 k1 + 2 e (k2 + k3) + k4).
         """
         e, e2 = self.exp_half, self.exp_full
-        s1, s2 = self._s1, self._s2
+        s1, s2, e2a = self._s1, self._s2, self._e2a
         k1 = self.nonlin(a, True)
         self.cfl_check()
         np.multiply(self.half_dt, k1, out=s1)
@@ -213,9 +213,9 @@ class _Workspace:
         np.multiply(self.half_dt, k2, out=s2)
         np.add(s1, s2, out=s1)
         k3 = self.nonlin(s1)
-        np.multiply(e2, a, out=s1)
+        np.multiply(e2, a, out=e2a)
         np.multiply(self.dt_exp_half, k3, out=s2)
-        np.add(s1, s2, out=s1)
+        np.add(e2a, s2, out=s1)
         k4 = self.nonlin(s1)
         np.multiply(e2, k1, out=s1)
         np.add(k2, k3, out=k2)
@@ -223,8 +223,7 @@ class _Workspace:
         np.add(s1, s2, out=s1)
         np.add(s1, k4, out=s1)
         np.multiply(self.dt_sixth, s1, out=k1)
-        np.multiply(e2, a, out=k4)
-        np.add(k4, k1, out=k4)
+        np.add(e2a, k1, out=k4)
         return k4
 
 
@@ -275,6 +274,8 @@ def evolve(
     """
     if not np.isfinite(t_final):
         raise ValueError(f"the horizon T = {t_final} must be finite")
+    if t_final != 0.0 and (t_final < 0.0) != (cfg.dt < 0.0):
+        raise ValueError(f"dt = {cfg.dt} and the horizon T = {t_final} have opposite signs")
     grid = f0.grid
     n_steps = round(t_final / cfg.dt)
     if n_steps < 1 or abs(n_steps * cfg.dt - t_final) > 1e-8 * max(abs(t_final), 1.0):
@@ -305,7 +306,7 @@ def evolve(
         if snapshots is not None and k % record_every == 0:
             snapshots[k // record_every] = np.fft.ifft(a)
         a = ws.rk4(a)
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise SolverError(f"solution blew up at step {k + 1} (t = {(k + 1) * cfg.dt:.4g})")
     if mass0 > 0.0:
         drift = abs(_scaled_mass(a, grid, e)[0] - mass0) / mass0

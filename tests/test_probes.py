@@ -347,6 +347,14 @@ class TestAprioriTracking:
         )
         assert np.max(norms) / norms[0] <= 5.0
 
+    @pytest.mark.parametrize("n_snapshots", [0, -4])
+    def test_rejects_snapshot_count_below_one(self, n_snapshots):
+        grid = GridSpec(length=64.0, points=256)
+        with pytest.raises(ValueError, match=f"n_snapshots must be at least 1, got {n_snapshots}"):
+            apriori_tracking(
+                Field.zero(grid), 0.125, 4.0, 0.04, SolverConfig(dt=1e-3), n_snapshots
+            )
+
 
 class TestCorpusAndSuite:
     def test_corpus_reproducible_and_hashed(self, corpus):

@@ -1,6 +1,7 @@
 """Tests for the integrating-factor RK4 solver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,11 @@ class TestNonlinearity:
         out = nonlinearity(f)
         assert np.max(np.abs(out.values)) < 1e-14
 
+    @pytest.mark.parametrize("sign", [2, 0, -2])
+    def test_rejects_sign_outside_plus_minus_one(self, grid, sign):
+        with pytest.raises(ValueError, match=f"sign must be \\+1 \\(focusing\\) or -1, got {sign}"):
+            nonlinearity(small_random_field(grid), sign)
+
     def test_rhs_matches_analytic_soliton_time_derivative(self):
         grid = GridSpec(length=128.0, points=2048)
         params = SolitonParams(carrier=2.0, scale=1.0)
@@ -100,6 +106,14 @@ class TestStep:
             errors.append(rel_l2_error(got, exact))
         ratio = errors[0] / errors[1]
         assert 12.0 <= ratio <= 20.0
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_dt(self, grid, dt):
+        f = small_random_field(grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"dt must be a nonzero finite number, got {dt}"):
+                step(f, dt, SolverConfig(dt=1e-3))
 
     def test_cfl_guard(self, grid):
         params = SolitonParams(carrier=2.0, scale=1.0)
@@ -156,6 +170,14 @@ class TestEvolve:
         f0 = small_random_field(grid)
         with pytest.raises(ValueError, match="whole number"):
             evolve(f0, 0.1, SolverConfig(dt=3e-3)).final
+
+    @pytest.mark.parametrize("dt, horizon", [(-1e-3, 0.1), (1e-3, -0.1)])
+    def test_rejects_opposite_signs_of_dt_and_horizon(self, grid, dt, horizon):
+        f0 = small_random_field(grid)
+        with pytest.raises(
+            ValueError, match=f"dt = {dt} and the horizon T = {horizon} have opposite signs"
+        ):
+            evolve(f0, horizon, SolverConfig(dt=dt))
 
     def test_rejects_non_finite_horizon(self, grid):
         f0 = small_random_field(grid)
@@ -232,7 +254,8 @@ class TestScalingSymmetry:
 
 # ---------------------------------------------------------------------------
 # Reference scheme: the plain allocating expressions the workspace must match
-# bit for bit (same operations, same operand order, unfolded scalars)
+# bit for bit (same operations, same operand order); the padding and cubic
+# scalings are single factors applied after the unnormalised transforms
 # ---------------------------------------------------------------------------
 
 def reference_nonlin(a, grid, sign):
@@ -243,10 +266,10 @@ def reference_nonlin(a, grid, sign):
     ap[:half] = a[:half]
     ap[-half:] = a[half:]
     xi_pad = 2.0 * np.pi * np.fft.fftfreq(pad, d=grid.length / pad)
-    u = np.fft.ifft(ap) * scale
-    ux = np.fft.ifft(1j * xi_pad * ap) * scale
-    w = (-sign * NONLINEAR_COEFFICIENT) * np.abs(u) ** 2 * ux
-    wp = np.fft.fft(w) / scale
+    u = np.fft.ifft(ap, norm="forward") * (1.0 / m)
+    ux = np.fft.ifft(1j * xi_pad * ap, norm="forward") * (1.0 / m)
+    w = np.abs(u) ** 2 * ux
+    wp = np.fft.fft(w) * ((-sign * NONLINEAR_COEFFICIENT) / scale)
     out = np.concatenate([wp[:half], wp[-half:]])
     out[np.abs(np.fft.fftfreq(m, d=1.0 / m)) > m // 3] = 0.0
     return out
@@ -351,6 +374,20 @@ class TestNumpyPrivatePocketfftKernels:
         _fft_kernel(fwd, 1.0, out=fwd)  # in place, as the workspace calls it
         assert np.array_equal(fwd, np.fft.fft(x))
 
+    @pytest.mark.parametrize("pad", [384, 576, 768, 1500, 6144])
+    def test_workspace_factors_bit_equal_scaled_np_fft(self, pad):
+        # the factors the workspace passes: 1/M inverse (M = 2P/3, also not a
+        # power of two) and -36 / (P/M) = -24 forward at sign +1
+        m = 2 * pad // 3
+        rng = np.random.default_rng(pad)
+        x = rng.standard_normal(pad) + 1j * rng.standard_normal(pad)
+        inv = np.empty(pad, dtype=np.complex128)
+        _ifft_kernel(x, 1.0 / m, out=inv)
+        assert np.array_equal(inv, np.fft.ifft(x, norm="forward") * (1.0 / m))
+        fwd = x.copy()
+        _fft_kernel(fwd, -24.0, out=fwd)
+        assert np.array_equal(fwd, np.fft.fft(x) * -24.0)
+
 
 # ---------------------------------------------------------------------------
 # CFL proxy: max |u|^2 of stage 1 only
@@ -362,7 +399,7 @@ def reference_stage1_max_abs2(a, grid):
     ap = np.zeros(pad, dtype=np.complex128)
     ap[:half] = a[:half]
     ap[-half:] = a[half:]
-    u = np.fft.ifft(ap) * (pad / m)
+    u = np.fft.ifft(ap, norm="forward") * (1.0 / m)
     return float(np.max(np.abs(u) ** 2))
 
 
