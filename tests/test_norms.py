@@ -312,6 +312,52 @@ class TestXsb:
         u = free_evolution(f, 1.0, 16)  # tau_max ~ 50 << 10^3
         with pytest.raises(ResolutionError, match="K ="):
             xsb_norm(u, 0.0, 0.5)
+        # the column-table route and the double transform refuse alike
+        copy = SpaceTimeField(u.grid, u.t_window, u.samples)
+        messages = []
+        for v in (u, copy):
+            for norm in (lambda: xsb_norm(v, 0.0, 0.5), lambda: xsb_p_norm(v, 0.0, 0.5, 4.0)):
+                with pytest.raises(ResolutionError, match="K =") as info:
+                    norm()
+                messages.append(str(info.value))
+        assert len(set(messages)) == 1
+        assert "need at least K = 1024 snapshots" in messages[0]
+
+
+class TestFreeEvolutionRoute:
+    # a free evolution's norms come from its u_hat and the column table; a
+    # copy without u_hat takes the windowed double transform of its samples
+    CASES = [(s, b) for s in (0.0, 0.25, -0.125) for b in (0.0, 0.51, 0.55, -0.48)]
+
+    def assert_routes_agree(self, u):
+        assert u.spectrum is not None
+        copy = SpaceTimeField(u.grid, u.t_window, u.samples)
+        for s, b in self.CASES:
+            assert xsb_norm(u, s, b) == pytest.approx(xsb_norm(copy, s, b), rel=1e-12, abs=0.0)
+            for p in (1.0, 2.0, 4.0, INF):
+                assert xsb_p_norm(u, s, b, p) == pytest.approx(
+                    xsb_p_norm(copy, s, b, p), rel=1e-12, abs=0.0
+                )
+
+    @pytest.mark.parametrize("n_times", [256, 1024])
+    @pytest.mark.parametrize("c", [1.0, 1e-200, 1e200j])
+    def test_column_table_matches_double_transform(self, st_corpus, c, n_times):
+        for f in st_corpus[::3]:
+            self.assert_routes_agree(free_evolution(Field(f.grid, c * f.values), 1.0, n_times))
+
+    @pytest.mark.parametrize("c", [3.0 - 4.0j, 1e200, 1e-200])
+    def test_scaled_keeps_spectrum(self, st_corpus, c):
+        u = free_evolution(st_corpus[1], 1.0, 256)
+        v = u.scaled(c)
+        assert np.array_equal(v.spectrum, c * u.spectrum)
+        self.assert_routes_agree(v)
+
+    def test_only_free_evolutions_carry_spectrum(self, st_corpus):
+        u = free_evolution(st_corpus[0], 1.0, 256)
+        assert np.array_equal(u.spectrum, forward_transform(st_corpus[0]).coefficients)
+        assert SpaceTimeField(u.grid, u.t_window, u.samples).spectrum is None
+        with pytest.raises(ValueError, match="read-only"):
+            u.spectrum[0] = 0.0
 
 
 # test-local copies of the uncached table expressions
@@ -341,16 +387,40 @@ def xsb_norm_uncached(u, s, b):
 
 def xsb_p_norm_uncached(u, s, b, p):
     st = norms._space_time_coefficients(u)
-    xi = u.grid.xi
-    dtau = TWO_PI / u.t_window
     a2, e = norms._scaled_squares(st)
     col = np.sum(np.multiply(uncached_weight(u, b), a2, out=a2), axis=0)
+    return cube_lp_uncached(u, col, e, s, p)
+
+
+def cube_lp_uncached(u, col, e, s, p):
+    xi = u.grid.xi
+    dtau = TWO_PI / u.t_window
     col = col * u.grid.dxi * dtau / TWO_PI**2
     cubes = np.floor(xi).astype(int)
     n_values = np.arange(cubes.min(), cubes.max() + 1)
     block2 = np.zeros(n_values.size)
     np.add.at(block2, cubes - cubes.min(), col)
     return math.ldexp(norms._lp(norms._jap(n_values) ** s * np.sqrt(block2), p), e)
+
+
+def column_table_uncached(u, b):
+    # H_b = sum_tau <tau - xi^3>^{2b} |G|^2, G = dt FFT_t[eta exp(i t xi^3)]
+    phases = np.exp(1j * np.outer(u.times, u.grid.xi**3))
+    gain = u.dt * np.fft.fft(u.cutoff[:, None] * phases, axis=0)
+    return np.sum(uncached_weight(u, b) * (gain.real**2 + gain.imag**2), axis=0)
+
+
+def xsb_norm_free_uncached(u, s, b):
+    w_xi = norms._jap(u.grid.xi) ** (2.0 * s)
+    a2, e = norms._scaled_squares(u.spectrum)
+    total = np.sum(w_xi * (column_table_uncached(u, b) * a2))
+    dtau = TWO_PI / u.t_window
+    return math.ldexp(float(np.sqrt(total * u.grid.dxi * dtau) / TWO_PI), e)
+
+
+def xsb_p_norm_free_uncached(u, s, b, p):
+    a2, e = norms._scaled_squares(u.spectrum)
+    return cube_lp_uncached(u, column_table_uncached(u, b) * a2, e, s, p)
 
 
 # test-local allocating longhand of the transform pipeline, in the operand
@@ -410,8 +480,8 @@ class TestCachedTables:
         for f, n_times, b in cases + cases[::-1] + cases[::3]:
             u = free_evolution(f, 1.0, n_times)
             assert np.array_equal(u.samples, free_evolution_samples_uncached(f, 1.0, n_times))
-            assert xsb_norm(u, 0.25, b) == xsb_norm_uncached(u, 0.25, b)
-            assert xsb_p_norm(u, 0.25, b, 4.0) == xsb_p_norm_uncached(u, 0.25, b, 4.0)
+            assert xsb_norm(u, 0.25, b) == xsb_norm_free_uncached(u, 0.25, b)
+            assert xsb_p_norm(u, 0.25, b, 4.0) == xsb_p_norm_free_uncached(u, 0.25, b, 4.0)
 
     def test_norms_of_non_free_trajectories_match_uncached(self, st_grid, st_corpus):
         rng = np.random.default_rng(5)
@@ -424,11 +494,12 @@ class TestCachedTables:
 
     def test_probe_corpus_tables_stay_resident(self, monkeypatch):
         # every table a run of the corpus families asks for is built once:
-        # the set (phases for K = 256, 1024, weights for three b) fits the budget
+        # the set (phases for K = 256, 1024, weights for three b, columns for
+        # two) fits the budget
         from mkdvlab.probes import run_probe_suite
 
         requested = {}
-        for name in ("_airy_phases", "_modulation_weight"):
+        for name in ("_airy_phases", "_modulation_weight", "_column_table"):
             cache = getattr(norms, name)
             cache.tables.clear()
             keys = requested[cache] = []
