@@ -323,9 +323,10 @@ def run_point(plan: ExperimentPlan, n: float) -> ExperimentRecord:
 
 
 def run_sweep(plan: ExperimentPlan, jobs: int = 1) -> list[ExperimentRecord]:
-    """All sweep points, optionally in parallel; records ordered by carrier."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    """All sweep points on min(jobs, carriers) processes (1: serially); ordered by carrier."""
+    workers = min(jobs, len(plan.carriers))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_point, [plan] * len(plan.carriers), plan.carriers))
     else:
         records = [run_point(plan, n) for n in plan.carriers]

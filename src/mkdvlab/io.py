@@ -153,7 +153,7 @@ def read_field(path: str | Path) -> Field:
         length, points = struct.unpack("<dq", _read_exact(fh, path, 16, "field header"))
         data = _read_samples(fh, path, points)
     try:
-        return Field(GridSpec(length=length, points=points), data.astype(np.complex128))
+        return Field(GridSpec(length=length, points=points), data)
     except ValueError as exc:
         raise SnapshotError(f"{path}: {exc}") from exc
 
@@ -194,7 +194,7 @@ def read_trajectory(path: str | Path) -> tuple[SpaceTimeField, float, int]:
         raise SnapshotError(
             f"{path}: header needs a finite nonzero dt and sign +-1, got dt={dt!r}, sign={sign}"
         )
-    samples = data.reshape(k, points).astype(np.complex128)
+    samples = data.reshape(k, points)
     try:
         traj = SpaceTimeField(GridSpec(length=length, points=points), t_window, samples)
     except ValueError as exc:

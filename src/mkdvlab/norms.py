@@ -18,13 +18,13 @@ Space-time values are diagnostics tied to the fixed time window and its
 cos^2 taper (10% shoulders); they are representative upper bounds, never
 restriction-norm infima.
 
-Two routes lead to the same X^{s,b} norms.  A general trajectory takes the
-windowed double transform: its (K, M) samples are tapered, transformed along
-x and then along t, weighted and reduced.  A free (Airy) evolution carries
-the coefficients u_hat of its initial datum, and for it the double transform
-factorises exactly, st(tau, xi) = G(tau, xi) u_hat(xi) with
-G = dt FFT_t[eta(t_k) exp(i t_k xi^3)] fixed by (grid, T_w, K).  Its norms
-therefore reduce |u_hat|^2 against the M-length column table
+The X^{s,b} norms of a trajectory take the windowed double transform: its
+(K, M) samples are tapered, transformed along x and then along t, weighted
+and reduced.  For the free (Airy) evolution of a datum u_hat that transform
+factorises, st(tau, xi) = G(tau, xi) u_hat(xi) with
+G = dt FFT_t[eta(t_k) exp(i t_k xi^3)] fixed by (grid, T_w, K).  The probes'
+private ``_free_xsb_norm`` and ``_free_xsb_p_norm`` therefore take u_hat
+itself and reduce |u_hat|^2 against the M-length column table
 H_b(xi) = sum_tau <tau - xi^3>^{2b} |G|^2, built once per (grid, T_w, K, b).
 """
 
@@ -170,16 +170,12 @@ class SpaceTimeField:
     """K equispaced snapshots over the window [0, T_w), K a power of two.
 
     Snapshots are stored raw; the fixed cos^2 temporal taper is applied by the
-    space-time transform (and exposed via :attr:`cutoff`).  ``spectrum`` is
-    set only when the samples are the free (Airy) evolution of a datum with
-    coefficients u_hat (by :func:`free_evolution` and :meth:`scaled`); the
-    X^{s,b} norms then take the column-table route.
+    space-time transform (and exposed via :attr:`cutoff`).
     """
 
     grid: GridSpec
     t_window: float
     samples: np.ndarray  # (K, M) complex
-    spectrum: np.ndarray | None = None  # (M,) u_hat of a free evolution
 
     def __post_init__(self) -> None:
         arr = np.array(self.samples, dtype=np.complex128)
@@ -194,12 +190,6 @@ class SpaceTimeField:
             raise ValueError("space-time samples contain non-finite values")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-        if self.spectrum is not None:
-            coef = np.array(self.spectrum, dtype=np.complex128)
-            if coef.shape != (self.grid.points,):
-                raise ValueError(f"spectrum must be ({self.grid.points},), got {coef.shape}")
-            coef.setflags(write=False)
-            object.__setattr__(self, "spectrum", coef)
 
     @property
     def n_times(self) -> int:
@@ -222,10 +212,6 @@ class SpaceTimeField:
 
     def field_at(self, index: int) -> Field:
         return Field(self.grid, self.samples[index])
-
-    def scaled(self, c: complex) -> "SpaceTimeField":
-        spectrum = None if self.spectrum is None else c * self.spectrum
-        return SpaceTimeField(self.grid, self.t_window, c * self.samples, spectrum)
 
 
 def _table_cache(build):
@@ -263,14 +249,13 @@ def _airy_phases(g: GridSpec, t_window: float, n_times: int) -> np.ndarray:
 
 
 def free_evolution(f: Field, t_window: float, n_times: int) -> SpaceTimeField:
-    """Trajectory of the free (Airy) flow sampled over [0, T_w), carrying u_hat."""
+    """Trajectory of the free (Airy) flow sampled over [0, T_w)."""
     g = f.grid
-    coef = _coefficients(f.values, g)
-    samples = _samples(_airy_phases(g, t_window, n_times) * coef, g)
-    return SpaceTimeField(g, t_window, samples, coef)
+    samples = _samples(_airy_phases(g, t_window, n_times) * _coefficients(f.values, g), g)
+    return SpaceTimeField(g, t_window, samples)
 
 
-def _check_dispersion_resolved(u: SpaceTimeField, col_peak: np.ndarray) -> None:
+def _check_dispersion_resolved(g: GridSpec, t_window: float, k: int, col_peak: np.ndarray) -> None:
     """Refuse a window whose temporal band cannot resolve the xi^3 dispersion.
 
     ``col_peak`` is the largest modulus of each xi column of the windowed
@@ -278,12 +263,12 @@ def _check_dispersion_resolved(u: SpaceTimeField, col_peak: np.ndarray) -> None:
     resolve the occupied band.
     """
     peak = float(np.max(col_peak))
-    tau_nyq = np.pi * u.n_times / u.t_window
+    tau_nyq = np.pi * k / t_window
     if peak > 0.0:
         occupied = col_peak > 1e-13 * peak
-        xi_occ = float(np.max(np.abs(u.grid.xi[occupied])))
+        xi_occ = float(np.max(np.abs(g.xi[occupied])))
         if xi_occ**3 > 0.8 * tau_nyq:
-            k_need = 1 << max(1, math.ceil(math.log2(u.t_window * xi_occ**3 / (0.8 * np.pi))))
+            k_need = 1 << max(1, math.ceil(math.log2(t_window * xi_occ**3 / (0.8 * np.pi))))
             raise ResolutionError(
                 f"temporal band tau_max = {tau_nyq:.4g} cannot resolve the "
                 f"dispersion xi^3 = {xi_occ ** 3:.4g} of the occupied band; "
@@ -300,7 +285,7 @@ def _space_time_coefficients(u: SpaceTimeField) -> np.ndarray:
     dt scaling are written into it in place, and ``u`` is only read.
     """
     spatial = _coefficients_in_place(u.windowed_samples(), u.grid)
-    _check_dispersion_resolved(u, np.max(np.abs(spatial), axis=0))
+    _check_dispersion_resolved(u.grid, u.t_window, u.n_times, np.max(np.abs(spatial), axis=0))
     np.fft.fft(spatial, axis=0, out=spatial)
     return np.multiply(u.dt, spatial, out=spatial)
 
@@ -338,32 +323,33 @@ def _column_table(g: GridSpec, t_window: float, k: int, b: float) -> np.ndarray:
     return col
 
 
-def _free_columns(u: SpaceTimeField, b: float) -> tuple[np.ndarray, int]:
-    """(|u_hat|^2 2^-2e) H_b and e: the weighted tau-sums of a free evolution, in O(M)."""
-    _check_dispersion_resolved(u, np.abs(u.spectrum) * float(np.max(u.cutoff)))
-    a2, e = _scaled_squares(u.spectrum)
-    return np.multiply(_column_table(u.grid, u.t_window, u.n_times, b), a2, out=a2), e
+def _free_tau_sums(coef: np.ndarray, g: GridSpec, t_window: float, k: int, b: float) -> tuple:
+    """(|u_hat|^2 2^-2e) H_b and e: the weighted tau-sums of the free evolution of u_hat."""
+    # the taper is 1 at the sample t = T_w / 2, so |u_hat| is each column's peak
+    _check_dispersion_resolved(g, t_window, k, np.abs(coef))
+    a2, e = _scaled_squares(coef)
+    return np.multiply(_column_table(g, t_window, k, b), a2, out=a2), e
+
+
+def _cube_lp(col: np.ndarray, e: int, g: GridSpec, t_window: float, s: float, p: float) -> float:
+    """l^p_n of the <n>^s-weighted sharp-cube contents of the tau-sums ``col`` (scaled by 4^-e)."""
+    col = col * g.dxi * (TWO_PI / t_window) / TWO_PI**2
+    cubes = np.floor(g.xi).astype(int)
+    n_values = np.arange(cubes.min(), cubes.max() + 1)
+    block2 = np.zeros(n_values.size)
+    np.add.at(block2, cubes - cubes.min(), col)
+    return math.ldexp(_lp(_jap(n_values) ** s * np.sqrt(block2), p), e)
 
 
 def xsb_norm(u: SpaceTimeField, s: float, b: float) -> float:
-    """X^{s,b} norm: <xi>^s <tau - xi^3>^b weighted space-time L^2.
-
-    A free evolution (``u.spectrum`` set) reduces |u_hat|^2 against the column
-    table H_b, since its double transform is st = G u_hat; every other field
-    takes the windowed double transform.
-    """
+    """X^{s,b} norm: <xi>^s <tau - xi^3>^b weighted space-time L^2."""
+    st = _space_time_coefficients(u)
     w_xi = _jap(u.grid.xi) ** (2.0 * s)
-    if u.spectrum is None:
-        st = _space_time_coefficients(u)
-        w_tau = _modulation_weight(u.grid, u.t_window, u.n_times, b)
-        a2, e = _scaled_squares(st)
-        # in place: one more (K, M) temporary would fault in fresh pages per call
-        total = np.sum(np.multiply(w_xi[None, :] * w_tau, a2, out=a2))
-    else:
-        col, e = _free_columns(u, b)
-        total = np.sum(w_xi * col)
-    dtau = TWO_PI / u.t_window
-    return math.ldexp(float(np.sqrt(total * u.grid.dxi * dtau) / TWO_PI), e)
+    w_tau = _modulation_weight(u.grid, u.t_window, u.n_times, b)
+    a2, e = _scaled_squares(st)
+    # in place: one more (K, M) temporary would fault in fresh pages per call
+    total = np.sum(np.multiply(w_xi[None, :] * w_tau, a2, out=a2))
+    return math.ldexp(float(np.sqrt(total * u.grid.dxi * (TWO_PI / u.t_window)) / TWO_PI), e)
 
 
 def xsb_p_norm(u: SpaceTimeField, s: float, b: float, p: float) -> float:
@@ -372,22 +358,24 @@ def xsb_p_norm(u: SpaceTimeField, s: float, b: float, p: float) -> float:
     Blocks are the sharp cubes [n, n+1): the L^2 content of each cube is
     weighted by <n>^s and aggregated in l^p_n.  At p = 2 this agrees with
     :func:`xsb_norm` up to the <n>-vs-<xi> weight equivalence on each cube.
-    As in :func:`xsb_norm`, a free evolution takes its tau-sums from the
-    column table (st = G u_hat) and every other field from the windowed
-    double transform.
     """
-    xi = u.grid.xi
-    dtau = TWO_PI / u.t_window
-    if u.spectrum is None:
-        st = _space_time_coefficients(u)
-        w_tau = _modulation_weight(u.grid, u.t_window, u.n_times, b)
-        a2, e = _scaled_squares(st)
-        col = np.sum(np.multiply(w_tau, a2, out=a2), axis=0)
-    else:
-        col, e = _free_columns(u, b)
-    col = col * u.grid.dxi * dtau / TWO_PI**2
-    cubes = np.floor(xi).astype(int)
-    n_values = np.arange(cubes.min(), cubes.max() + 1)
-    block2 = np.zeros(n_values.size)
-    np.add.at(block2, cubes - cubes.min(), col)
-    return math.ldexp(_lp(_jap(n_values) ** s * np.sqrt(block2), p), e)
+    st = _space_time_coefficients(u)
+    w_tau = _modulation_weight(u.grid, u.t_window, u.n_times, b)
+    a2, e = _scaled_squares(st)
+    return _cube_lp(np.sum(np.multiply(w_tau, a2, out=a2), axis=0), e, u.grid, u.t_window, s, p)
+
+
+def _free_xsb_norm(
+    coef: np.ndarray, g: GridSpec, t_window: float, k: int, s: float, b: float
+) -> float:
+    """:func:`xsb_norm` of the free evolution of u_hat = ``coef`` over K snapshots, in O(M)."""
+    col, e = _free_tau_sums(coef, g, t_window, k, b)
+    total = np.sum(_jap(g.xi) ** (2.0 * s) * col)
+    return math.ldexp(float(np.sqrt(total * g.dxi * (TWO_PI / t_window)) / TWO_PI), e)
+
+
+def _free_xsb_p_norm(
+    coef: np.ndarray, g: GridSpec, t_window: float, k: int, s: float, b: float, p: float
+) -> float:
+    """:func:`xsb_p_norm` of the free evolution of u_hat = ``coef`` over K snapshots, in O(M)."""
+    return _cube_lp(*_free_tau_sums(coef, g, t_window, k, b), g, t_window, s, p)

@@ -24,11 +24,13 @@ import numpy as np
 from .io import ConfigError
 from .norms import (
     SpaceTimeField,
+    _airy_phases,
+    _free_xsb_norm,
+    _free_xsb_p_norm,
     _lp,
-    free_evolution,
+    cos2_taper,
     modulation_norm,
     sobolev_norm,
-    xsb_norm,
     xsb_p_norm,
 )
 from .solver import SolverConfig, evolve
@@ -134,12 +136,25 @@ def _st_l2(samples: np.ndarray, grid: GridSpec, dt: float) -> float:
     return math.ldexp(float(np.sqrt(np.sum(a2) * grid.dx * dt)), e)
 
 
+def _windowed_free_samples(coefs, grid: GridSpec, n_times: int) -> list[np.ndarray]:
+    """eta(t_k) times the free evolution of each u_hat in ``coefs``, one (K, M) array each.
+
+    For u_hat = ``_coefficients(f.values, grid)`` these are, bit for bit, the
+    ``windowed_samples()`` of ``free_evolution(f, CORPUS_T_WINDOW, n_times)``.
+    """
+    phases = _airy_phases(grid, CORPUS_T_WINDOW, n_times)
+    eta = cos2_taper((CORPUS_T_WINDOW / n_times) * np.arange(n_times), CORPUS_T_WINDOW)[:, None]
+    return [np.multiply(eta, w, out=w) for w in (_samples(phases * c, grid) for c in coefs)]
+
+
 def _bilinear_ratio(pu: Field, pv: Field, eps: float, divisor: float) -> float:
     """||U V||_{L^2_{x,t}} of the free evolutions against X^{0,1/2+eps} norms / divisor."""
-    fu = free_evolution(pu, CORPUS_T_WINDOW, CORPUS_N_TIMES)
-    fv = free_evolution(pv, CORPUS_T_WINDOW, CORPUS_N_TIMES)
-    num = _st_l2(fu.windowed_samples() * fv.windowed_samples(), pu.grid, fu.dt)
-    den = xsb_norm(fu, 0.0, 0.5 + eps) * xsb_norm(fv, 0.0, 0.5 + eps) / divisor
+    g, k = pu.grid, CORPUS_N_TIMES
+    cu, cv = _coefficients(pu.values, g), _coefficients(pv.values, g)
+    wu, wv = _windowed_free_samples((cu, cv), g, k)
+    num = _st_l2(np.multiply(wu, wv, out=wu), g, CORPUS_T_WINDOW / k)
+    du, dv = (_free_xsb_norm(c, g, CORPUS_T_WINDOW, k, 0.0, 0.5 + eps) for c in (cu, cv))
+    den = du * dv / divisor
     return 0.0 if den == 0.0 else num / den
 
 
@@ -157,11 +172,6 @@ def bilinear_ratio_lp(u: Field, v: Field, n1: float, n2: float, eps: float = 0.0
     if n1 < 4 * n2:
         raise ValueError(f"separated dyadics required: N1 >= 4 N2, got {n1}, {n2}")
     return _bilinear_ratio(littlewood_paley(u, n1), littlewood_paley(v, n2), eps, n1)
-
-
-def _spatial_derivative_samples(traj: SpaceTimeField) -> np.ndarray:
-    g = traj.grid
-    return _samples(1j * g.xi * _coefficients(traj.samples, g), g)
 
 
 def trilinear_ratio(
@@ -194,18 +204,16 @@ def _trilinear_ratio(
     others are normed and stored, so a caller that passes one dict for many
     triples of fixed (s, p, n_times) norms each keyed field once.
     """
-    f1, f2, f3 = (free_evolution(u, CORPUS_T_WINDOW, n_times) for u in factors)
-    product = (
-        f1.windowed_samples()
-        * np.conj(f2.windowed_samples())
-        * (f3.cutoff[:, None] * _spatial_derivative_samples(f3))
-    )
-    w = SpaceTimeField(factors[0].grid, CORPUS_T_WINDOW, product)
+    g = factors[0].grid
+    coefs = [_coefficients(u.values, g) for u in factors]
+    w1, w2, w3 = _windowed_free_samples((coefs[0], coefs[1], 1j * g.xi * coefs[2]), g, n_times)
+    np.multiply(w1, np.conj(w2, out=w2), out=w1)
+    w = SpaceTimeField(g, CORPUS_T_WINDOW, np.multiply(w1, w3, out=w1))
     eps = 0.01
     num = xsb_p_norm(w, s, -0.5 + 2.0 * eps, p)
-    for key, f in zip(keys, (f1, f2, f3)):
+    for key, coef in zip(keys, coefs):
         if key not in factor_norms:
-            factor_norms[key] = xsb_p_norm(f, s, 0.5 + eps, p)
+            factor_norms[key] = _free_xsb_p_norm(coef, g, CORPUS_T_WINDOW, n_times, s, 0.5 + eps, p)
     d1, d2, d3 = (factor_norms[key] for key in keys)
     den = d1 * d2 * d3
     return 0.0 if den == 0.0 else num / den
@@ -424,8 +432,9 @@ def _probe_convolution(fields: list[Field], rng) -> dict:
 
 def _probe_xsb_free_evolution(fields: list[Field], rng) -> dict:
     def ratio(f: Field) -> float:
-        fe = free_evolution(f, CORPUS_T_WINDOW, CORPUS_N_TIMES)
-        return xsb_norm(fe, 0.25, 0.51) / sobolev_norm(f, 0.25)
+        coef = _coefficients(f.values, f.grid)
+        xsb = _free_xsb_norm(coef, f.grid, CORPUS_T_WINDOW, CORPUS_N_TIMES, 0.25, 0.51)
+        return xsb / sobolev_norm(f, 0.25)
 
     step = max(len(fields) // 20, 1)
     return _reduce((ratio(fields[i]), f"field {i}") for i in range(0, len(fields), step))

@@ -244,6 +244,45 @@ class TestVerdict:
         assert not verdict.difft_floor_ok
         assert not verdict.passed
 
+    @pytest.mark.parametrize("jobs, carriers, workers", [
+        (100_000, (16.0, 32.0, 64.0, 128.0), [4]),
+        (3, (16.0, 32.0, 64.0, 128.0), [3]),
+        (8, (16.0,), []),
+    ])
+    def test_pool_never_outnumbers_the_carriers(self, monkeypatch, jobs, carriers, workers):
+        # a pool that records its size and maps in this process; no process
+        # is started, so a huge jobs value is safe to pass
+        from mkdvlab import illposed
+
+        sizes, done = [], []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        def fake_point(plan, n):
+            done.append(n)
+            return ExperimentRecord(
+                carrier=n, n1=n, n2=n, lam=1.0, theta=0.125, norm_u=1.0, norm_v=1.0,
+                diff0=1.0, difft=1.0, tail=0.0,
+            )
+
+        monkeypatch.setattr(illposed, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(illposed, "run_point", fake_point)
+        records = run_sweep(small_plan(carriers=carriers), jobs=jobs)
+        assert sizes == workers
+        assert done == list(carriers)
+        assert [r.carrier for r in records] == list(carriers)
+
     def test_parallel_sweep_matches_serial(self):
         plan = small_plan()
         serial = run_sweep(plan, jobs=1)

@@ -145,7 +145,7 @@ class TestModulation:
         )
         assert g.l2_norm() == pytest.approx(abs(c) * f.l2_norm(), rel=1e-12, abs=0.0)
         u = free_evolution(st_corpus[0], 1.0, 256)
-        v = u.scaled(c)
+        v = free_evolution(Field(st_corpus[0].grid, c * st_corpus[0].values), 1.0, 256)
         assert xsb_norm(v, 0.25, 0.5) == pytest.approx(
             abs(c) * xsb_norm(u, 0.25, 0.5), rel=1e-12, abs=0.0
         )
@@ -290,7 +290,7 @@ class TestXsb:
     def test_homogeneity(self, st_corpus):
         f = st_corpus[0]
         u = free_evolution(f, 1.0, 256)
-        v = u.scaled(3.0 - 4.0j)
+        v = free_evolution(Field(f.grid, (3.0 - 4.0j) * f.values), 1.0, 256)
         assert xsb_p_norm(v, 0.25, 0.5, 4.0) == pytest.approx(
             5.0 * xsb_p_norm(u, 0.25, 0.5, 4.0), rel=1e-12
         )
@@ -310,54 +310,56 @@ class TestXsb:
     def test_under_resolved_dispersion_rejected(self, st_grid):
         f = spectrum_field(st_grid, lambda xi: np.exp(-(((np.abs(xi) - 10.0) / 0.5) ** 2)))
         u = free_evolution(f, 1.0, 16)  # tau_max ~ 50 << 10^3
-        with pytest.raises(ResolutionError, match="K ="):
-            xsb_norm(u, 0.0, 0.5)
-        # the column-table route and the double transform refuse alike
-        copy = SpaceTimeField(u.grid, u.t_window, u.samples)
+        coef = forward_transform(f).coefficients
+        # the double transform and the private column-table route refuse alike
         messages = []
-        for v in (u, copy):
-            for norm in (lambda: xsb_norm(v, 0.0, 0.5), lambda: xsb_p_norm(v, 0.0, 0.5, 4.0)):
-                with pytest.raises(ResolutionError, match="K =") as info:
-                    norm()
-                messages.append(str(info.value))
+        for norm in (
+            lambda: xsb_norm(u, 0.0, 0.5),
+            lambda: xsb_p_norm(u, 0.0, 0.5, 4.0),
+            lambda: norms._free_xsb_norm(coef, st_grid, 1.0, 16, 0.0, 0.5),
+            lambda: norms._free_xsb_p_norm(coef, st_grid, 1.0, 16, 0.0, 0.5, 4.0),
+        ):
+            with pytest.raises(ResolutionError, match="K =") as info:
+                norm()
+            messages.append(str(info.value))
         assert len(set(messages)) == 1
         assert "need at least K = 1024 snapshots" in messages[0]
 
 
 class TestFreeEvolutionRoute:
-    # a free evolution's norms come from its u_hat and the column table; a
-    # copy without u_hat takes the windowed double transform of its samples
+    # the private route takes u_hat and the column table; the public norms
+    # take the windowed double transform of the free evolution's samples
     CASES = [(s, b) for s in (0.0, 0.25, -0.125) for b in (0.0, 0.51, 0.55, -0.48)]
 
-    def assert_routes_agree(self, u):
-        assert u.spectrum is not None
-        copy = SpaceTimeField(u.grid, u.t_window, u.samples)
+    def assert_routes_agree(self, f, n_times):
+        u = free_evolution(f, 1.0, n_times)
+        coef = forward_transform(f).coefficients
         for s, b in self.CASES:
-            assert xsb_norm(u, s, b) == pytest.approx(xsb_norm(copy, s, b), rel=1e-12, abs=0.0)
+            assert norms._free_xsb_norm(coef, f.grid, 1.0, n_times, s, b) == pytest.approx(
+                xsb_norm(u, s, b), rel=1e-12, abs=0.0
+            )
             for p in (1.0, 2.0, 4.0, INF):
-                assert xsb_p_norm(u, s, b, p) == pytest.approx(
-                    xsb_p_norm(copy, s, b, p), rel=1e-12, abs=0.0
+                assert norms._free_xsb_p_norm(coef, f.grid, 1.0, n_times, s, b, p) == pytest.approx(
+                    xsb_p_norm(u, s, b, p), rel=1e-12, abs=0.0
                 )
 
     @pytest.mark.parametrize("n_times", [256, 1024])
     @pytest.mark.parametrize("c", [1.0, 1e-200, 1e200j])
     def test_column_table_matches_double_transform(self, st_corpus, c, n_times):
         for f in st_corpus[::3]:
-            self.assert_routes_agree(free_evolution(Field(f.grid, c * f.values), 1.0, n_times))
+            self.assert_routes_agree(Field(f.grid, c * f.values), n_times)
 
     @pytest.mark.parametrize("c", [3.0 - 4.0j, 1e200, 1e-200])
-    def test_scaled_keeps_spectrum(self, st_corpus, c):
-        u = free_evolution(st_corpus[1], 1.0, 256)
-        v = u.scaled(c)
-        assert np.array_equal(v.spectrum, c * u.spectrum)
-        self.assert_routes_agree(v)
+    def test_scaled_datum_routes_agree(self, st_corpus, c):
+        f = st_corpus[1]
+        self.assert_routes_agree(Field(f.grid, c * f.values), 256)
 
-    def test_only_free_evolutions_carry_spectrum(self, st_corpus):
+    def test_free_evolution_is_a_plain_trajectory(self, st_corpus):
         u = free_evolution(st_corpus[0], 1.0, 256)
-        assert np.array_equal(u.spectrum, forward_transform(st_corpus[0]).coefficients)
-        assert SpaceTimeField(u.grid, u.t_window, u.samples).spectrum is None
+        assert not hasattr(u, "spectrum") and not hasattr(u, "scaled")
+        assert np.array_equal(u.samples, free_evolution_samples_uncached(st_corpus[0], 1.0, 256))
         with pytest.raises(ValueError, match="read-only"):
-            u.spectrum[0] = 0.0
+            u.samples[0, 0] = 0.0
 
 
 # test-local copies of the uncached table expressions
@@ -403,6 +405,10 @@ def cube_lp_uncached(u, col, e, s, p):
     return math.ldexp(norms._lp(norms._jap(n_values) ** s * np.sqrt(block2), p), e)
 
 
+# the free route's references take u_hat = coef; u is the free evolution of
+# coef and only lends its grid and window
+
+
 def column_table_uncached(u, b):
     # H_b = sum_tau <tau - xi^3>^{2b} |G|^2, G = dt FFT_t[eta exp(i t xi^3)]
     phases = np.exp(1j * np.outer(u.times, u.grid.xi**3))
@@ -410,16 +416,16 @@ def column_table_uncached(u, b):
     return np.sum(uncached_weight(u, b) * (gain.real**2 + gain.imag**2), axis=0)
 
 
-def xsb_norm_free_uncached(u, s, b):
+def xsb_norm_free_uncached(coef, u, s, b):
     w_xi = norms._jap(u.grid.xi) ** (2.0 * s)
-    a2, e = norms._scaled_squares(u.spectrum)
+    a2, e = norms._scaled_squares(coef)
     total = np.sum(w_xi * (column_table_uncached(u, b) * a2))
     dtau = TWO_PI / u.t_window
     return math.ldexp(float(np.sqrt(total * u.grid.dxi * dtau) / TWO_PI), e)
 
 
-def xsb_p_norm_free_uncached(u, s, b, p):
-    a2, e = norms._scaled_squares(u.spectrum)
+def xsb_p_norm_free_uncached(coef, u, s, b, p):
+    a2, e = norms._scaled_squares(coef)
     return cube_lp_uncached(u, column_table_uncached(u, b) * a2, e, s, p)
 
 
@@ -479,9 +485,15 @@ class TestCachedTables:
                     cases.append((f, n_times, b))
         for f, n_times, b in cases + cases[::-1] + cases[::3]:
             u = free_evolution(f, 1.0, n_times)
+            coef = forward_transform(f).coefficients
             assert np.array_equal(u.samples, free_evolution_samples_uncached(f, 1.0, n_times))
-            assert xsb_norm(u, 0.25, b) == xsb_norm_free_uncached(u, 0.25, b)
-            assert xsb_p_norm(u, 0.25, b, 4.0) == xsb_p_norm_free_uncached(u, 0.25, b, 4.0)
+            assert xsb_norm(u, 0.25, b) == xsb_norm_uncached(u, 0.25, b)
+            assert xsb_p_norm(u, 0.25, b, 4.0) == xsb_p_norm_uncached(u, 0.25, b, 4.0)
+            free = (coef, f.grid, 1.0, n_times, 0.25, b)
+            assert norms._free_xsb_norm(*free) == xsb_norm_free_uncached(coef, u, 0.25, b)
+            assert norms._free_xsb_p_norm(*free, 4.0) == xsb_p_norm_free_uncached(
+                coef, u, 0.25, b, 4.0
+            )
 
     def test_norms_of_non_free_trajectories_match_uncached(self, st_grid, st_corpus):
         rng = np.random.default_rng(5)
@@ -496,7 +508,7 @@ class TestCachedTables:
         # every table a run of the corpus families asks for is built once:
         # the set (phases for K = 256, 1024, weights for three b, columns for
         # two) fits the budget
-        from mkdvlab.probes import run_probe_suite
+        from mkdvlab import probes
 
         requested = {}
         for name in ("_airy_phases", "_modulation_weight", "_column_table"):
@@ -508,8 +520,12 @@ class TestCachedTables:
                 keys.append(key)
                 return cache(*key)
 
-            monkeypatch.setattr(norms, name, recording)
-        run_probe_suite(["bilinear_cube", "bilinear_lp", "trilinear"], corpus_seed=7, corpus_size=20)
+            for module in (norms, probes):
+                if getattr(module, name, None) is cache:
+                    monkeypatch.setattr(module, name, recording)
+        probes.run_probe_suite(
+            ["bilinear_cube", "bilinear_lp", "trilinear"], corpus_seed=7, corpus_size=20
+        )
         for cache, keys in requested.items():
             assert len(keys) > len(set(keys)) >= 2
             assert set(keys) == set(cache.tables)
@@ -526,6 +542,30 @@ class TestCachedTables:
         for cache in (norms._airy_phases, norms._modulation_weight):
             assert 0 < sum(t.nbytes for t in cache.tables.values()) <= norms._TABLE_CACHE_BYTES
         assert (grid, 1.0, 2048) not in norms._airy_phases.tables
+
+    def test_cold_large_trilinear_builds_the_phase_table_twice(self, monkeypatch):
+        # the 32 MiB phase table of M = 1024, K = 2048 exceeds the budget, so
+        # each request builds it: one for the factor samples and one for a
+        # cold column table; with the column table warm, one per ratio call
+        from mkdvlab import probes
+        from mkdvlab.solitons import SolitonParams, soliton_field
+
+        cache, builds = norms._airy_phases, []
+
+        def counting(*key):
+            if key not in cache.tables:
+                builds.append(key)
+            return cache(*key)
+
+        for module in (norms, probes):
+            monkeypatch.setattr(module, "_airy_phases", counting)
+        grid = GridSpec(length=128.0, points=1024)
+        u = probes._band_limit(soliton_field(SolitonParams(carrier=2.0, scale=0.5), 0.0, grid), 4.0)
+        norms._column_table.tables.clear()
+        probes.trilinear_ratio(u, u, u, 0.25, 4.0, n_times=2048)
+        assert builds == [(grid, 1.0, 2048)] * 2
+        probes.trilinear_ratio(u, u, u, 0.25, 4.0, n_times=2048)
+        assert builds == [(grid, 1.0, 2048)] * 3
 
     def test_tables_are_read_only(self, st_grid):
         phases = norms._airy_phases(st_grid, 1.0, 256)

@@ -8,7 +8,7 @@ import pytest
 
 from mkdvlab import probes
 from mkdvlab.io import ConfigError
-from mkdvlab.norms import modulation_norm
+from mkdvlab.norms import free_evolution, modulation_norm
 from mkdvlab.probes import (
     CORPUS_GRID,
     apriori_tracking,
@@ -26,7 +26,7 @@ from mkdvlab.probes import (
 )
 from mkdvlab.solitons import SolitonParams, soliton_field
 from mkdvlab.solver import SolverConfig
-from mkdvlab.spectral import Field, GridSpec
+from mkdvlab.spectral import Field, GridSpec, _coefficients, _samples
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +182,33 @@ class TestTrilinear:
             ratios.append(r)
         assert abs(ratios[1] - ratios[0]) <= 0.2 * ratios[0]
 
+    def test_snapshot_count_must_be_a_power_of_two(self, corpus):
+        u = _band_limit(corpus[0], 4.0)
+        with pytest.raises(ValueError, match="power of two, got 12"):
+            trilinear_ratio(u, u, u, 0.25, 4.0, n_times=12)
+
+    @pytest.mark.parametrize("n_times", [256, 1024])
+    def test_factor_samples_from_u_hat_equal_windowed_free_evolution(self, corpus, n_times):
+        fields = [_band_limit(corpus[i], 4.0) for i in (0, 1)] + [corpus[2]]
+        coefs = [_coefficients(f.values, f.grid) for f in fields]
+        built = probes._windowed_free_samples(coefs, CORPUS_GRID, n_times)
+        for f, w in zip(fields, built):
+            assert np.array_equal(w, free_evolution(f, 1.0, n_times).windowed_samples())
+
+    def test_derivative_factor_matches_transform_round_trip(self, corpus):
+        # i xi u_hat evolved freely against the derivative of the evolved
+        # samples, taken by a forward and inverse transform
+        g = CORPUS_GRID
+        for f in corpus[:6]:
+            f = _band_limit(f, 4.0)
+            traj = free_evolution(f, 1.0, 1024)
+            round_trip = traj.cutoff[:, None] * _samples(
+                1j * g.xi * _coefficients(traj.samples, g), g
+            )
+            coef = 1j * g.xi * _coefficients(f.values, g)
+            (direct,) = probes._windowed_free_samples([coef], g, 1024)
+            assert np.max(np.abs(direct - round_trip)) <= 1e-13 * np.max(np.abs(round_trip))
+
     def test_same_sign_concentration_not_extremal(self, corpus):
         # adversarial triple with all frequencies of one sign stays within
         # 10x the corpus median
@@ -203,26 +230,33 @@ class TestTrilinear:
 
 class TestTrilinearFamily:
     def test_each_field_normed_once_and_ratios_match_public(self, monkeypatch):
-        calls = []
+        calls = {"xsb_p_norm": [], "_free_xsb_p_norm": []}
         pairs = []
-        norm, reduce = probes.xsb_p_norm, probes._reduce
+        reduce = probes._reduce
 
-        def counting(*args, **kwargs):
-            calls.append(args[1:])  # (s, b, p); the trajectory is not kept
-            return norm(*args, **kwargs)
+        def counting(name):
+            norm = getattr(probes, name)
+
+            def count(*args, **kwargs):
+                calls[name].append(1)
+                return norm(*args, **kwargs)
+
+            return count
 
         def recording(items):
             pairs.extend(items)
             return reduce(pairs)
 
-        monkeypatch.setattr(probes, "xsb_p_norm", counting)
+        for name in calls:
+            monkeypatch.setattr(probes, name, counting(name))
         monkeypatch.setattr(probes, "_reduce", recording)
         run_probe_suite(["trilinear"], corpus_seed=7, corpus_size=40)
         triples = [tuple(int(j) for j in re.findall(r"\d+", label)) for _, label in pairs]
         distinct = {j for triple in triples for j in triple}
         # one numerator per triple, one denominator per distinct corpus field
         assert (len(triples), len(distinct)) == (8, 23)
-        assert len(calls) == len(triples) + len(distinct)
+        assert len(calls["xsb_p_norm"]) == len(triples)
+        assert len(calls["_free_xsb_p_norm"]) == len(distinct)
         fields = make_probe_corpus(seed=7, size=40)
         for (ratio, _), triple in zip(pairs, triples):
             trip = [_band_limit(fields[j], 4.0) for j in triple]
