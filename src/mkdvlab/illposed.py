@@ -1,18 +1,16 @@
 """Two-soliton sweeps probing failure of local uniform continuity below s = 1/4.
 
-For each carrier N the harness builds a pair of soliton solutions whose
-parameters follow the regime schedules
-
-    nonneg-s (0 <= s < 1/4):  lam = N^{-2s},   |N1 - N2| = N^{2s-1+2theta} / T
-    neg-s  (-1/p < s < 0):    lam = N^{-p s},  |N1 - N2| = N^{p s - 1 + (3/2) theta} / T
-
-and measures, in M^{2,p}_s: the solution norms (time-independent), the
-initial difference, the difference at time T, and the spectral remainder
-outside |xi - N| < N^theta.  Evolution is analytic (the solitons are exact
-solutions); the PDE solver is an optional cross-check on the smallest
-carrier.  All norms are produced by the grid-free quadrature oracle and, when
-grid sizing is feasible, re-produced by the grid pipeline and required to
-agree.
+For each carrier N the harness builds a pair of soliton solutions by one
+construction law, lam = N^{-a} and |N1 - N2| = N^{a - 1 + c theta} / T, so
+that diff0 ~ N^s lam^{-1/2} |N1 - N2| = N^{s + a/2} |N1 - N2|.  The regime
+sets only (a, c): (2s, 2) for nonneg-s (0 <= s < 1/4) and (p s, 3/2) for
+neg-s (-1/p < s < 0).  It measures, in M^{2,p}_s: the solution norms
+(time-independent), the initial difference, the difference at time T, and
+the spectral remainder outside |xi - N| < N^theta.  Evolution is analytic
+(the solitons are exact solutions); the PDE solver is an optional
+cross-check on the smallest carrier.  All norms are produced by the
+grid-free quadrature oracle and, when grid sizing is feasible, re-produced
+by the grid pipeline and required to agree.
 """
 
 from __future__ import annotations
@@ -67,7 +65,12 @@ def _default_theta(s: float, p: float) -> float:
     return -p * s + 0.05
 
 
-def _validate_regime(s: float, p: float, theta: float) -> str:
+def _schedule(s: float, p: float) -> tuple[float, float]:
+    """(a, c) of the construction law: lam = N^{-a}, |N1 - N2| = N^{a - 1 + c theta} / T."""
+    return (2.0 * s, 2.0) if s >= 0 else (p * s, 1.5)
+
+
+def _validate_regime(s: float, p: float, theta: float) -> None:
     if p < 2:
         raise ValueError(f"the construction needs p >= 2, got p = {p}")
     if s >= 0:
@@ -79,14 +82,13 @@ def _validate_regime(s: float, p: float, theta: float) -> str:
             raise ValueError(
                 f"theta = {theta} violates 0 < theta and 4s - 1 + 2 theta < 0"
             )
-        return REGIME_NONNEG
+        return
     if math.isinf(p):
         raise ValueError("the negative-regularity regime needs p < inf")
     if s <= -1.0 / p:
         raise ValueError(f"s = {s} is outside the range -1/p < s < 0 for p = {p}")
     if not (-p * s < theta < 1.0):
         raise ValueError(f"theta = {theta} violates -ps < theta < 1 (ps = {p * s})")
-    return REGIME_NEG
 
 
 @dataclass(frozen=True)
@@ -110,14 +112,10 @@ def choose_parameters(
     if not n > 1:
         raise ValueError(f"carrier must exceed 1, got {n}")
     th = _default_theta(s, p) if theta is None else theta
-    regime = _validate_regime(s, p, th)
-    if regime == REGIME_NONNEG:
-        lam = n ** (-2.0 * s)
-        delta = n ** (2.0 * s - 1.0 + 2.0 * th) / t_final
-    else:
-        lam = n ** (-p * s)
-        delta = n ** (p * s - 1.0 + 1.5 * th) / t_final
-    return ParameterChoice(lam=lam, theta=th, n1=n, n2=n + delta)
+    _validate_regime(s, p, th)
+    a, c = _schedule(s, p)
+    delta = n ** (a - 1.0 + c * th) / t_final
+    return ParameterChoice(lam=n ** (-a), theta=th, n1=n, n2=n + delta)
 
 
 @dataclass(frozen=True)
@@ -148,17 +146,14 @@ class ExperimentPlan:
 
     @property
     def diff0_exponent(self) -> float:
-        """Predicted log-log slope of the initial difference."""
-        th = self.resolved_theta
-        if self.regime == REGIME_NONNEG:
-            return 4.0 * self.s - 1.0 + 2.0 * th
-        return self.s + 1.5 * (th + self.p * self.s) - 1.0
+        """Predicted log-log slope of the initial difference, s + a/2 + (a - 1 + c theta)."""
+        a, c = _schedule(self.s, self.p)
+        return self.s + a / 2.0 + (a - 1.0 + c * self.resolved_theta)
 
     @property
     def tail_exponent(self) -> float:
-        """The remainder decays like exp(-c N^{this exponent})."""
-        th = self.resolved_theta
-        return th + (2.0 * self.s if self.regime == REGIME_NONNEG else self.p * self.s)
+        """The remainder decays like exp(-rate N^{this exponent}), theta + a."""
+        return self.resolved_theta + _schedule(self.s, self.p)[0]
 
 
 @dataclass(frozen=True)
@@ -421,13 +416,9 @@ def verify_lemma(records: list[ExperimentRecord], plan: ExperimentPlan) -> Lemma
     rate, _ = np.polyfit(n**plan.tail_exponent, np.log(tails), 1)
     tail_rate = float(-rate)
 
-    # one fitted constant for the initial-difference upper bound
-    if plan.regime == REGIME_NONNEG:
-        bound = np.array([r.carrier ** (2 * plan.s) * (r.n2 - r.n1) for r in records])
-    else:
-        bound = np.array(
-            [r.carrier**plan.s * r.lam**-0.5 * (r.n2 - r.n1) for r in records]
-        )
+    # one fitted constant for the initial-difference upper bound N^{s + a/2} |N1 - N2|
+    a = _schedule(plan.s, plan.p)[0]
+    bound = np.array([r.carrier ** (plan.s + a / 2.0) * (r.n2 - r.n1) for r in records])
     c_init = float(np.max(diff0 / bound))
 
     return LemmaVerdict(

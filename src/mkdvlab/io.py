@@ -79,9 +79,7 @@ def config_hash(cfg: dict[str, str]) -> str:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 

@@ -44,6 +44,7 @@ from .spectral import (
     ResolutionError,
     _coefficients,
     _coefficients_in_place,
+    _is_pow2,
     _samples,
     _scaled_squares,
     cos2_window,
@@ -182,7 +183,7 @@ class SpaceTimeField:
         k = arr.shape[0]
         if arr.ndim != 2 or arr.shape[1] != self.grid.points:
             raise ValueError(f"samples must be (K, {self.grid.points}), got {arr.shape}")
-        if k < 2 or (k & (k - 1)) != 0:
+        if not _is_pow2(k):
             raise ValueError(f"snapshot count must be a power of two, got {k}")
         if not self.t_window > 0:
             raise ValueError("time window must be positive")

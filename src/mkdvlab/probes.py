@@ -76,6 +76,8 @@ CORPUS_N_TIMES = 256
 PAIRING_SEED = 1
 #: calibration constants are the measured maxima times this factor
 CALIBRATION_HEADROOM = 1.01
+#: eps of the trilinear bound: factors in X^{s,1/2+eps}_p, the product in X^{s,-1/2+2eps}_p
+_TRILINEAR_EPS = 0.01
 
 
 @dataclass(frozen=True)
@@ -191,31 +193,25 @@ def trilinear_ratio(
     on top, a fixed convention absorbed by the calibration constants.
     """
     out_of_range = not (s >= 0.25 and 2.0 <= p < math.inf)
-    return _trilinear_ratio((u1, u2, u3), (0, 1, 2), {}, s, p, n_times), out_of_range
+    g = u1.grid
+    coefs = [_coefficients(u.values, g) for u in (u1, u2, u3)]
+    # a generator, so the factors are normed after the numerator has checked n_times
+    dens = (_trilinear_den(c, g, s, p, n_times) for c in coefs)
+    return _trilinear_ratio(coefs, dens, g, s, p, n_times), out_of_range
 
 
-def _trilinear_ratio(
-    factors, keys, factor_norms: dict, s: float, p: float, n_times: int
-) -> float:
-    """Body of :func:`trilinear_ratio` for the three ``factors``.
+def _trilinear_den(coef: np.ndarray, g: GridSpec, s: float, p: float, n_times: int) -> float:
+    """X^{s,1/2+eps}_p norm of the free evolution of u_hat = ``coef``, one trilinear factor."""
+    return _free_xsb_p_norm(coef, g, CORPUS_T_WINDOW, n_times, s, 0.5 + _TRILINEAR_EPS, p)
 
-    ``factor_norms`` maps a key to the X^{s,1/2+eps}_p norm of its factor's
-    free evolution.  A factor whose key is there is not normed again; the
-    others are normed and stored, so a caller that passes one dict for many
-    triples of fixed (s, p, n_times) norms each keyed field once.
-    """
-    g = factors[0].grid
-    coefs = [_coefficients(u.values, g) for u in factors]
+
+def _trilinear_ratio(coefs, dens, g: GridSpec, s: float, p: float, n_times: int) -> float:
+    """Body of :func:`trilinear_ratio`: u_hat = ``coefs``, their norms ``dens`` reduced last."""
     w1, w2, w3 = _windowed_free_samples((coefs[0], coefs[1], 1j * g.xi * coefs[2]), g, n_times)
     np.multiply(w1, np.conj(w2, out=w2), out=w1)
     w = SpaceTimeField(g, CORPUS_T_WINDOW, np.multiply(w1, w3, out=w1))
-    eps = 0.01
-    num = xsb_p_norm(w, s, -0.5 + 2.0 * eps, p)
-    for key, coef in zip(keys, coefs):
-        if key not in factor_norms:
-            factor_norms[key] = _free_xsb_p_norm(coef, g, CORPUS_T_WINDOW, n_times, s, 0.5 + eps, p)
-    d1, d2, d3 = (factor_norms[key] for key in keys)
-    den = d1 * d2 * d3
+    num = xsb_p_norm(w, s, -0.5 + 2.0 * _TRILINEAR_EPS, p)
+    den = math.prod(dens)
     return 0.0 if den == 0.0 else num / den
 
 
@@ -391,16 +387,15 @@ def _probe_bilinear_lp(fields: list[Field], rng) -> dict:
 
 
 def _probe_trilinear(fields: list[Field], rng) -> dict:
-    size = len(fields)
-    # corpus index -> denominator norm; a field takes part in up to three triples
-    factor_norms = {}
-    pairs = []
-    for i in _trilinear_indices(size):
-        js = (i, (i + 7) % size, (i + 23) % size)
-        # inputs capped to |xi| <= 4 so the cubic product stays temporally resolvable
-        trip = [_band_limit(fields[j], 4.0) for j in js]
-        r = _trilinear_ratio(trip, js, factor_norms, 0.25, 4.0, 1024)
-        pairs.append((r, "fields ({},{},{})".format(*js)))
+    size, g, k = len(fields), fields[0].grid, 1024
+    triples = [(i, (i + 7) % size, (i + 23) % size) for i in _trilinear_indices(size)]
+    # once per distinct field, which joins up to three triples: u_hat of its input
+    # capped to |xi| <= 4 (so the cubic product stays temporally resolvable), and its norm
+    coefs = {j: _coefficients(_band_limit(fields[j], 4.0).values, g)
+             for j in dict.fromkeys(itertools.chain(*triples))}
+    dens = {j: _trilinear_den(c, g, 0.25, 4.0, k) for j, c in coefs.items()}
+    pairs = [(_trilinear_ratio([coefs[j] for j in js], [dens[j] for j in js], g, 0.25, 4.0, k),
+              "fields ({},{},{})".format(*js)) for js in triples]
     return {**_reduce(pairs), "median": float(np.median([r for r, _ in pairs]))}
 
 

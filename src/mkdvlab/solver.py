@@ -23,8 +23,9 @@ monitor rather than a mere diagnostic.
 
 :func:`evolve` is the one entry point: it returns an :class:`EvolveResult`
 with the terminal state and, when snapshots are requested, the trajectory.
-One evolution owns one ``_Workspace``, which allocates its padded and
-physical buffers, RK4 stage buffers and step constants once; the time loop
+One evolution owns one ``_Workspace``, which takes the grid and the
+:class:`SolverConfig` (the one check of dt and sign) and allocates its padded
+and physical buffers, RK4 stage buffers and step constants once; the time loop
 then writes into them through ``out=`` arguments, and each ``nonlin`` call
 returns a fresh array because the four stage derivatives are alive together.
 The RK4 combination is the plain expression evaluated in its original
@@ -40,13 +41,13 @@ scipy.fft is not used: the package does not import it at load time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.fft import _pocketfft_umath
 
 from .norms import SpaceTimeField
-from .spectral import Field, GridSpec, _scaled_squares, derivative, require_zero_offset
+from .spectral import Field, GridSpec, _is_pow2, _scaled_squares, derivative, require_zero_offset
 
 __all__ = [
     "NONLINEAR_COEFFICIENT",
@@ -76,13 +77,6 @@ class MassDriftError(SolverError):
     """Mass drifted beyond tolerance: the run is under-resolved."""
 
 
-def _check_step(dt: float, sign: int) -> None:
-    if dt == 0.0 or not np.isfinite(dt):
-        raise ValueError(f"dt must be a nonzero finite number, got {dt}")
-    if sign not in (-1, 1):
-        raise ValueError(f"sign must be +1 (focusing) or -1, got {sign}")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Step size, focusing sign, and drift guard for one evolution."""
@@ -92,13 +86,16 @@ class SolverConfig:
     mass_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        _check_step(self.dt, self.sign)
+        if self.dt == 0.0 or not np.isfinite(self.dt):
+            raise ValueError(f"dt must be a nonzero finite number, got {self.dt}")
+        if self.sign not in (-1, 1):
+            raise ValueError(f"sign must be +1 (focusing) or -1, got {self.sign}")
         if not self.mass_tol > 0:
             raise ValueError("mass_tol must be positive")
 
 
 class _Workspace:
-    """Multipliers, constants and scratch buffers for one (grid, dt, sign).
+    """Multipliers, constants and scratch buffers for one grid and one :class:`SolverConfig`.
 
     Everything is allocated once here, so a steady-state RK4 step allocates
     only the four M-length stage derivatives (k1..k4 are alive together):
@@ -123,16 +120,15 @@ class _Workspace:
     package.
     """
 
-    def __init__(self, grid: GridSpec, dt: float, sign: int):
-        _check_step(dt, sign)
+    def __init__(self, grid: GridSpec, cfg: SolverConfig):
         require_zero_offset(grid, "the solver (its padded derivative and dealias band assume xi0 = 0)")
         self.grid = grid
-        self.dt = dt
+        self.dt = dt = cfg.dt
         m = grid.points
         self.m = m
         self.pad = 3 * m // 2
         self.inv_m = 1.0 / m
-        self.fwd_factor = -sign * NONLINEAR_COEFFICIENT / (self.pad / m)
+        self.fwd_factor = -cfg.sign * NONLINEAR_COEFFICIENT / (self.pad / m)
         xi = grid.xi
         self.exp_half = np.exp(1j * xi**3 * (dt / 2.0))
         self.exp_full = self.exp_half**2
@@ -234,7 +230,7 @@ def nonlinearity(f: Field, sign: int = 1) -> Field:
     for band-limited input this is the exact Galerkin projection of the
     product.
     """
-    ws = _Workspace(f.grid, 1.0, sign)
+    ws = _Workspace(f.grid, SolverConfig(1.0, sign))
     out = ws.nonlin(np.fft.fft(f.values))
     return Field(f.grid, np.fft.ifft(out))
 
@@ -249,7 +245,7 @@ def step(f: Field, dt: float, cfg: SolverConfig) -> Field:
     """One integrating-factor RK4 step of size dt (cfg.dt is ignored here)."""
     if dt == 0.0:
         return f
-    ws = _Workspace(f.grid, dt, cfg.sign)
+    ws = _Workspace(f.grid, replace(cfg, dt=dt))
     a = ws.rk4(np.fft.fft(f.values))
     return Field(f.grid, np.fft.ifft(a))
 
@@ -290,13 +286,13 @@ def evolve(
                 f"record_every = {record_every} must divide the {n_steps} steps"
             )
         n_rec = n_steps // record_every
-        if n_rec < 2 or (n_rec & (n_rec - 1)) != 0:
+        if not _is_pow2(n_rec):
             raise ValueError(
                 f"snapshot count {n_rec} must be a power of two (>= 2); "
                 f"adjust record_every"
             )
         snapshots = np.empty((n_rec, grid.points), dtype=np.complex128)
-    ws = _Workspace(grid, cfg.dt, cfg.sign)
+    ws = _Workspace(grid, cfg)
     a = np.fft.fft(f0.values)
     a[~ws.band_mask] = 0.0  # dealias band enforced once; preserved by the flow
     # scaled by 2^-e so that a mass outside double range keeps its guard;

@@ -10,11 +10,12 @@ approximations of the continuum transform and Parseval reads
 
     sum_j |u(x_j)|^2 dx = (2 pi)^{-1} sum_k |u_hat(xi_k)|^2 dxi.
 
-The convention lives in one private pair, ``_coefficients`` and ``_samples``,
-which transform along the last axis (a (K, M) trajectory row by row).  Each
-allocates one result array and never writes into its input;
-``_coefficients_in_place`` applies the forward half over an array its caller
-owns.  ``forward_transform`` and ``inverse_transform`` wrap the pair for
+The convention lives in one private pair, ``_coefficients_in_place`` and
+``_samples``, which transform along the last axis (a (K, M) trajectory row
+by row).  The forward half writes over a complex128 array its caller owns;
+``_coefficients`` applies it to a copy, so it and ``_samples`` each allocate
+one result array and never write into their input.
+``forward_transform`` and ``inverse_transform`` wrap the pair for
 single fields, and every multiplier (derivatives, projectors, the Airy
 group) is one call of :func:`fourier_multiplier`.  Only the solver's time
 loop keeps its own unnormalised coefficients.
@@ -228,21 +229,18 @@ def require_zero_offset(grid: GridSpec, what: str) -> None:
         )
 
 
-def _coefficients(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """dx-weighted DFT along the last axis: u_hat(xi_k) for each row of samples.
-
-    ``values`` is only read.  The FFT allocates the result, and the dx and
-    phase scaling is written into that array in place, so a (K, M) input
-    costs one (K, M) array.
-    """
-    spectrum = np.fft.fft(values, axis=-1)
-    return np.multiply(grid.dx * grid._phase(), spectrum, out=spectrum)
-
-
 def _coefficients_in_place(buf: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """:func:`_coefficients` of ``buf`` written over ``buf``, a complex array the caller owns."""
+    """dx-weighted DFT along the last axis, u_hat(xi_k) for each row of samples.
+
+    Written over ``buf``, a complex128 array the caller owns.
+    """
     np.fft.fft(buf, axis=-1, out=buf)
     return np.multiply(grid.dx * grid._phase(), buf, out=buf)
+
+
+def _coefficients(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """:func:`_coefficients_in_place` of a complex128 copy of ``values``, which is only read."""
+    return _coefficients_in_place(np.array(values, dtype=np.complex128), grid)
 
 
 def _samples(coef: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -69,6 +69,43 @@ class TestChooseParameters:
             choose_parameters(-0.3, 4.0, 1.0, 64.0)
 
 
+def per_regime_schedule(s, p, t_final, n, th):
+    """The two regime schedules written out: lam, n2, diff0 and tail exponents."""
+    if s >= 0:
+        lam = n ** (-2.0 * s)
+        n2 = n + n ** (2.0 * s - 1.0 + 2.0 * th) / t_final
+        return lam, n2, 4.0 * s - 1.0 + 2.0 * th, th + 2.0 * s
+    lam = n ** (-p * s)
+    n2 = n + n ** (p * s - 1.0 + 1.5 * th) / t_final
+    return lam, n2, s + 1.5 * (th + p * s) - 1.0, th + p * s
+
+
+def sampled_schedule_points(seed=5, count=40):
+    """(s, p, theta) drawn inside each regime's admitted range."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(count):
+        p = float(rng.choice([2.0, 3.0, 4.0, 6.0, 8.0]))
+        s = float(rng.uniform(0.0, 0.2))
+        points.append((s, p, float(rng.uniform(0.1, 0.9)) * (1.0 - 4.0 * s) / 2.0))
+        s = float(rng.uniform(-0.9, -0.1)) / p
+        points.append((s, p, float(rng.uniform(-p * s + 0.05, 0.95))))
+    return points
+
+
+class TestOneConstructionLaw:
+    def test_matches_the_per_regime_schedules(self):
+        for s, p, theta in sampled_schedule_points():
+            plan = ExperimentPlan(s=s, p=p, t_final=0.5, carriers=(16.0,), theta=theta)
+            for n in (16.0, 100.5, 4096.0):
+                lam, n2, diff0_exp, tail_exp = per_regime_schedule(s, p, 0.5, n, theta)
+                c = choose_parameters(s, p, 0.5, n, theta)
+                assert (c.lam, c.n2) == (lam, n2)
+                # the law sums the same O(1) terms in another order: a few ulp of 1 apart
+                assert plan.diff0_exponent == pytest.approx(diff0_exp, rel=1e-15, abs=1e-15)
+                assert plan.tail_exponent == tail_exp
+
+
 class TestPlan:
     def test_regime_derivation(self):
         assert small_plan().regime == "nonneg-s"

@@ -17,6 +17,7 @@ from mkdvlab.io import (
     read_config,
     read_field,
     read_trajectory,
+    write_csv,
     write_field,
     write_trajectory,
 )
@@ -51,6 +52,13 @@ class TestConfig:
     def test_hash_is_order_insensitive(self):
         assert config_hash({"a": "1", "b": "2"}) == config_hash({"b": "2", "a": "1"})
         assert config_hash({"a": "1"}) != config_hash({"a": "2"})
+
+
+class TestCsv:
+    def test_numpy_floats_written_as_plain_float_reprs(self, tmp_path):
+        path = tmp_path / "v.csv"
+        write_csv(path, ["a", "b", "c"], [{"a": np.float64(1.5), "b": np.float32(0.1), "c": 0.25}])
+        assert path.read_text().splitlines()[-1] == f"1.5,{float(np.float32(0.1))!r},0.25"
 
 
 class TestSnapshots:
@@ -220,6 +228,37 @@ class TestCliSolve:
                 + (out / "final_state.bin").read_bytes()
             )
         assert blobs[0] == blobs[1]
+
+    def test_file_initial_matches_soliton_initial(self, tmp_path):
+        grid = GridSpec(length=64.0, points=256)
+        write_field(tmp_path / "u0.bin", soliton_field(SolitonParams(carrier=2.0, scale=1.0), 0.0, grid))
+        run = "length=64\npoints=256\nt_final=0.02\ndt=0.00125\nrecord_every=4\n"
+        outputs = {}
+        for name, initial in (
+            ("soliton", "initial=soliton\nsoliton_carrier=2.0\nsoliton_scale=1.0\n"),
+            ("file", f"initial=file\nfile={tmp_path / 'u0.bin'}\n"),
+        ):
+            cfg = write_cfg(tmp_path, f"{name}.cfg", initial + run)
+            assert main(["solve", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            outputs[name] = [
+                (tmp_path / name / out).read_bytes() for out in ("final_state.bin", "trajectory.bin")
+            ]
+        assert outputs["file"] == outputs["soliton"]
+
+    def test_file_on_another_grid_exits_2_with_one_line(self, tmp_path, capsys):
+        grid = GridSpec(length=64.0, points=512)
+        write_field(tmp_path / "u0.bin", soliton_field(SolitonParams(carrier=2.0, scale=1.0), 0.0, grid))
+        cfg = write_cfg(
+            tmp_path,
+            "file.cfg",
+            f"initial=file\nfile={tmp_path / 'u0.bin'}\n"
+            "length=64\npoints=256\nt_final=0.02\ndt=0.00125\nrecord_every=4\n",
+        )
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "does not match" in err
 
     def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "bad.cfg", "initial=soliton\nwavelength=3\n")
@@ -421,6 +460,25 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("solve", SOLITON_SOLVE.replace("dt=0.00125\n", ""), "dt"),
+            ("illposed", ILLPOSED.replace("T=1.0\n", "") + "N_min=16\nN_max=128\n", "T"),
+            ("probe", "corpus_seed=3\n", "probes"),
+            ("norms", "field={tmp}/sech.bin\ns=0\n", "p"),
+        ],
+        ids=["solve", "illposed", "probe", "norms"],
+    )
+    def test_missing_required_key_exits_2_with_one_line(self, tmp_path, capsys, command, text, key):
+        grid = GridSpec(length=128.0, points=2048)
+        write_field(tmp_path / "sech.bin", Field.from_function(grid, lambda x: 1 / np.cosh(x)))
+        cfg = write_cfg(tmp_path, "c.cfg", text.format(tmp=tmp_path))
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"config error: missing required config key {key!r} for '{command}'\n"
 
     def test_readme_table_lists_every_key(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text()

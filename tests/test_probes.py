@@ -2,6 +2,7 @@
 
 import re
 from collections import Counter
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -262,6 +263,20 @@ class TestTrilinearFamily:
             trip = [_band_limit(fields[j], 4.0) for j in triple]
             assert ratio == trilinear_ratio(*trip, 0.25, 4.0, n_times=1024)[0]
 
+    def test_band_limit_once_per_distinct_field(self, monkeypatch):
+        band_limit = probes._band_limit
+        calls = []
+
+        def count(f, cap):
+            calls.append(cap)
+            return band_limit(f, cap)
+
+        monkeypatch.setattr(probes, "_band_limit", count)
+        fields = make_probe_corpus(seed=7, size=40)
+        probes._probe_trilinear(fields, np.random.default_rng(probes.PAIRING_SEED))
+        # 8 triples over 23 distinct fields (24 calls when each triple band-limits its own)
+        assert calls == [4.0] * 23
+
 
 class TestConvolutionInequality:
     def test_single_spikes(self):
@@ -388,6 +403,25 @@ class TestAprioriTracking:
             apriori_tracking(
                 Field.zero(grid), 0.125, 4.0, 0.04, SolverConfig(dt=1e-3), n_snapshots
             )
+
+
+class TestCalibrate:
+    def test_regenerates_the_stored_calibration(self):
+        path = resources.files("mkdvlab.data").joinpath("calibration.json")
+        stored_bytes = path.read_bytes()
+        stored = load_calibration()
+        got = probes.calibrate()
+        assert path.read_bytes() == stored_bytes
+        assert got["corpus"] == stored["corpus"]
+        assert got["measured"].keys() == stored["measured"].keys()
+        assert got["constants"].keys() == stored["constants"].keys()
+        for name, want in stored["measured"].items():
+            assert (got["measured"][name]["argmax"], got["measured"][name]["count"]) == (
+                want["argmax"], want["count"])
+            assert got["measured"][name]["max"] == pytest.approx(want["max"], rel=1e-14, abs=0)
+            assert got["constants"][name] == pytest.approx(
+                stored["constants"][name], rel=1e-14, abs=0)
+        assert got["measured"]["trilinear"]["median"] == stored["measured"]["trilinear"]["median"]
 
 
 class TestCorpusAndSuite:

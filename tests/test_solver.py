@@ -302,7 +302,7 @@ class TestWorkspaceMatchesReference:
     def test_rk4_and_evolve_bit_identical(self, small_grid, sign):
         dt, n_steps = 1e-3, 20
         f0 = small_random_field(small_grid, seed=21, amplitude=0.5)
-        ws = _Workspace(small_grid, dt, sign)
+        ws = _Workspace(small_grid, SolverConfig(dt=dt, sign=sign))
         a0 = np.fft.fft(f0.values)
         a0[~ws.band_mask] = 0.0
         want = a0
@@ -329,7 +329,7 @@ class TestWorkspaceMatchesReference:
         )
 
     def test_nonlin_returns_fresh_arrays(self, small_grid):
-        ws = _Workspace(small_grid, 1e-3, 1)
+        ws = _Workspace(small_grid, SolverConfig(dt=1e-3, sign=1))
         a = np.fft.fft(white_noise_field(small_grid, seed=5).values)
         b = np.fft.fft(white_noise_field(small_grid, seed=6).values)
         first = ws.nonlin(a)
@@ -339,7 +339,7 @@ class TestWorkspaceMatchesReference:
         assert np.array_equal(second, reference_nonlin(b, small_grid, 1))
 
     def test_workspace_reuse_repeats_runs(self, small_grid):
-        ws = _Workspace(small_grid, 1e-3, -1)
+        ws = _Workspace(small_grid, SolverConfig(dt=1e-3, sign=-1))
         a0 = np.fft.fft(small_random_field(small_grid, seed=8, amplitude=0.5).values)
         a0[~ws.band_mask] = 0.0
         runs = []
@@ -405,7 +405,7 @@ def reference_stage1_max_abs2(a, grid):
 
 class TestCflCheck:
     def test_checked_step_keeps_the_stage_one_maximum(self, small_grid):
-        ws = _Workspace(small_grid, 1e-3, 1)
+        ws = _Workspace(small_grid, SolverConfig(dt=1e-3, sign=1))
         a = np.fft.fft(white_noise_field(small_grid, seed=7).values)
         ws.rk4(a)
         assert ws.last_max_abs2 == reference_stage1_max_abs2(a, small_grid)
@@ -415,7 +415,7 @@ class TestCflCheck:
         # the run: its peak grows, so the proxy starts at 0.45 and crosses 0.5
         # only after step 1
         dt = 1e-2
-        ws = _Workspace(small_grid, dt, 1)
+        ws = _Workspace(small_grid, SolverConfig(dt=dt, sign=1))
         xi = small_grid.xi
         shape = np.exp(-((xi / 2.0) ** 2)) * np.exp(-0.1j * xi**3)
         shape[~ws.band_mask] = 0.0
@@ -461,7 +461,7 @@ class TestMassGuardScaling:
             evolve(f0, 0.016, SolverConfig(dt=1e-3)).final
 
     def test_drift_ratio_bit_identical_for_normal_masses(self, small_grid):
-        ws = _Workspace(small_grid, 5e-3, 1)
+        ws = _Workspace(small_grid, SolverConfig(dt=5e-3, sign=1))
         a0 = np.fft.fft(white_noise_field(small_grid, seed=11).values)
         a0[~ws.band_mask] = 0.0
         a1 = ws.rk4(ws.rk4(a0))
