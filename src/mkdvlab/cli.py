@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -214,8 +214,8 @@ def cmd_illposed(cfg: dict, out: Path, seed: int | None, jobs: int) -> int:
     header = _header(cfg, None, seed)
     header["grid"] = "auto-sized per record (see plan_grid)"
     columns = [f.name for f in fields(ExperimentRecord)]
-    write_csv(out / "records.csv", columns, [r.to_dict() for r in records], header=header)
-    write_json(out / "verdict.json", verdict.to_dict(), meta=header)
+    write_csv(out / "records.csv", columns, [asdict(r) for r in records], header=header)
+    write_json(out / "verdict.json", asdict(verdict), meta=header)
     print(
         f"illposed [{verdict.regime}]: "
         f"{'PASS' if verdict.passed else 'FAIL'} "
@@ -230,7 +230,7 @@ def cmd_probe(cfg: dict, out: Path, seed: int | None) -> int:
     reports = run_probe_suite(opts["probes"], **_given(opts, "corpus_seed", "corpus_size"))
     write_json(
         out / "probes.json",
-        {"reports": [r.to_dict() for r in reports]},
+        {"reports": [asdict(r) for r in reports]},
         meta=_header(cfg, None, seed),
     )
     ok = all(r.within_calibration in (True, None) for r in reports)

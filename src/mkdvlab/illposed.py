@@ -16,7 +16,7 @@ by the grid pipeline and required to agree.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -70,25 +70,31 @@ def _schedule(s: float, p: float) -> tuple[float, float]:
     return (2.0 * s, 2.0) if s >= 0 else (p * s, 1.5)
 
 
+def _diff0_exponent(s: float, p: float, theta: float) -> float:
+    """The law's predicted log-log slope of the initial difference, s + a/2 + (a - 1 + c theta)."""
+    a, c = _schedule(s, p)
+    return s + a / 2.0 + (a - 1.0 + c * theta)
+
+
 def _validate_regime(s: float, p: float, theta: float) -> None:
     if p < 2:
         raise ValueError(f"the construction needs p >= 2, got p = {p}")
     if s >= 0:
         if s >= 0.25:
-            raise ValueError(
-                f"s = {s} is outside the instability range 0 <= s < 1/4"
-            )
-        if not (theta > 0 and 4.0 * s - 1.0 + 2.0 * theta < 0):
-            raise ValueError(
-                f"theta = {theta} violates 0 < theta and 4s - 1 + 2 theta < 0"
-            )
-        return
-    if math.isinf(p):
-        raise ValueError("the negative-regularity regime needs p < inf")
-    if s <= -1.0 / p:
-        raise ValueError(f"s = {s} is outside the range -1/p < s < 0 for p = {p}")
-    if not (-p * s < theta < 1.0):
-        raise ValueError(f"theta = {theta} violates -ps < theta < 1 (ps = {p * s})")
+            raise ValueError(f"s = {s} is outside the instability range 0 <= s < 1/4")
+        if not theta > 0:
+            raise ValueError(f"theta = {theta} violates 0 < theta")
+    else:
+        if math.isinf(p):
+            raise ValueError("the negative-regularity regime needs p < inf")
+        if s <= -1.0 / p:
+            raise ValueError(f"s = {s} is outside the range -1/p < s < 0 for p = {p}")
+        if not (-p * s < theta < 1.0):
+            raise ValueError(f"theta = {theta} violates -ps < theta < 1 (ps = {p * s})")
+    # a sweep shows the initial difference vanish only where the law predicts it
+    exponent = _diff0_exponent(s, p, theta)
+    if not exponent < 0:
+        raise ValueError(f"theta = {theta} gives diff0 the exponent {exponent} >= 0, not < 0")
 
 
 @dataclass(frozen=True)
@@ -147,8 +153,7 @@ class ExperimentPlan:
     @property
     def diff0_exponent(self) -> float:
         """Predicted log-log slope of the initial difference, s + a/2 + (a - 1 + c theta)."""
-        a, c = _schedule(self.s, self.p)
-        return self.s + a / 2.0 + (a - 1.0 + c * self.resolved_theta)
+        return _diff0_exponent(self.s, self.p, self.resolved_theta)
 
     @property
     def tail_exponent(self) -> float:
@@ -174,9 +179,6 @@ class ExperimentRecord:
     grid_diff0: float | None = None
     grid_difft: float | None = None
     solver_error: float | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def plan_grid(
@@ -375,9 +377,6 @@ class LemmaVerdict:
     tail_decay_ok: bool
     initial_bound_constant: float
     thresholds: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def verify_lemma(records: list[ExperimentRecord], plan: ExperimentPlan) -> LemmaVerdict:

@@ -8,6 +8,11 @@ caveat.  Constants are empirical: they are calibrated once on a frozen seeded
 corpus (hash and constants stored in data/calibration.json) and later runs
 check stability against them, guarding the transform conventions against
 regressions rather than proving the estimates.
+
+Each probe family is a pure function of the corpus: it seeds its own stream
+with PAIRING_SEED, and only ``convolution`` replays the cube pairs' draws, the
+stream it was calibrated on.  The trilinear window is K = 1024 snapshots; the
+corpus block's ``n_times`` = 256 is the bilinear and xsb_free_evolution window.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -33,7 +38,7 @@ from .norms import (
     sobolev_norm,
     xsb_p_norm,
 )
-from .solver import SolverConfig, evolve
+from .solver import SolverConfig, _step_count, evolve
 from .spectral import (
     Field,
     GridSpec,
@@ -72,12 +77,14 @@ CORPUS_GRID = GridSpec(length=64.0, points=256)
 CORPUS_T_WINDOW = 1.0
 CORPUS_N_TIMES = 256
 
-#: seed of the rng stream that pairs the corpus (cube pairs, sparse sequences)
+#: seed of the rng stream each random family opens (cube pairs, sparse sequences)
 PAIRING_SEED = 1
 #: calibration constants are the measured maxima times this factor
 CALIBRATION_HEADROOM = 1.01
 #: eps of the trilinear bound: factors in X^{s,1/2+eps}_p, the product in X^{s,-1/2+2eps}_p
 _TRILINEAR_EPS = 0.01
+#: snapshots of the trilinear window: its cubic product needs more than CORPUS_N_TIMES
+_TRILINEAR_N_TIMES = 1024
 
 
 @dataclass(frozen=True)
@@ -92,9 +99,6 @@ class ProbeReport:
     within_calibration: bool | None = None
     caveats: tuple[str, ...] = (REPRESENTATIVE_CAVEAT,)
     extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +186,7 @@ def trilinear_ratio(
     u3: Field,
     s: float,
     p: float,
-    n_times: int = CORPUS_N_TIMES,
+    n_times: int = _TRILINEAR_N_TIMES,
 ) -> tuple[float, bool]:
     """Ratio for the key trilinear bound: u1 conj(u2) d_x u3 in X^{s,-1/2+2eps}_p, eps = 0.01.
 
@@ -274,7 +278,7 @@ def apriori_tracking(
     """Modulation norm along the nonlinear evolution: (times, norms)."""
     if n_snapshots < 1:
         raise ValueError(f"n_snapshots must be at least 1, got {n_snapshots}")
-    n_steps = round(t_final / cfg.dt)
+    n_steps = _step_count(t_final, cfg.dt)
     if n_steps % n_snapshots != 0:
         raise ValueError(
             f"snapshot count {n_snapshots} must divide the {n_steps} steps"
@@ -321,41 +325,31 @@ def load_calibration() -> dict:
         return json.load(fh)
 
 
-def _cube_pairs(rng) -> tuple[int, int]:
-    while True:
-        m = int(rng.integers(-6, 7))
-        n = int(rng.integers(-6, 7))
-        if abs(m + n) >= 2 and abs(m - n) >= 2:
-            return m, n
-
-
 def _band_limit(f: Field, cap: float) -> Field:
     """Hard spectral truncation to |xi| <= cap (keeps cubic products resolvable)."""
     return fourier_multiplier(f, np.abs(f.grid.xi) <= cap)
 
 
-# Index ranges scale with the corpus: the first half feeds the cube probe in
-# pairs, the next 30% the dyadic probe, the last fifth the trilinear probe
-# (identical to the frozen calibration layout at size 200).
-
-def _trilinear_start(size: int) -> int:
-    return size - max(size // 5, 1)
-
-
-def _cube_indices(size: int) -> range:
-    return range(0, size // 2 - 1, 2)
-
-
-def _lp_indices(size: int) -> range:
-    return range(size // 2, _trilinear_start(size) - 1, 2)
-
-
-def _trilinear_indices(size: int) -> range:
-    return range(_trilinear_start(size), size)
+def _layout(size: int) -> dict[str, range]:
+    """Corpus indices per family: the first half in cube pairs, the next 30% in dyadic
+    pairs, the last fifth trilinear (the frozen calibration layout at size 200)."""
+    tri = size - max(size // 5, 1)
+    return {
+        "bilinear_cube": range(0, size // 2 - 1, 2),
+        "bilinear_lp": range(size // 2, tri - 1, 2),
+        "trilinear": range(tri, size),
+    }
 
 
 def _cube_layout(size: int, rng) -> list[tuple[int, int, int]]:
-    return [(i, *_cube_pairs(rng)) for i in _cube_indices(size)]
+    """(i, m, n) per cube pair (i, i + 1); (m, n) drawn until |m + n|, |m - n| >= 2."""
+    layout = []
+    for i in _layout(size)["bilinear_cube"]:
+        m = n = 0
+        while abs(m + n) < 2 or abs(m - n) < 2:
+            m, n = int(rng.integers(-6, 7)), int(rng.integers(-6, 7))
+        layout.append((i, m, n))
+    return layout
 
 
 def _reduce(pairs) -> dict:
@@ -368,7 +362,8 @@ def _reduce(pairs) -> dict:
     return {"max": worst, "argmax": arg, "count": count}
 
 
-def _probe_bilinear_cube(fields: list[Field], rng) -> dict:
+def _probe_bilinear_cube(fields: list[Field]) -> dict:
+    rng = np.random.default_rng(PAIRING_SEED)
     return _reduce(
         (bilinear_ratio_cube(fields[i], fields[i + 1], m, n),
          f"fields ({i},{i + 1}), cubes ({m},{n})")
@@ -376,9 +371,10 @@ def _probe_bilinear_cube(fields: list[Field], rng) -> dict:
     )
 
 
-def _probe_bilinear_lp(fields: list[Field], rng) -> dict:
+def _probe_bilinear_lp(fields: list[Field]) -> dict:
     lp_pairs = [(8.0, 1.0), (8.0, 2.0), (4.0, 1.0)]
-    layout = [(i, *lp_pairs[(i // 2) % len(lp_pairs)]) for i in _lp_indices(len(fields))]
+    layout = [(i, *lp_pairs[(i // 2) % len(lp_pairs)])
+              for i in _layout(len(fields))["bilinear_lp"]]
     return _reduce(
         (bilinear_ratio_lp(fields[i], fields[i + 1], n1, n2),
          f"fields ({i},{i + 1}), dyadics ({n1},{n2})")
@@ -386,9 +382,9 @@ def _probe_bilinear_lp(fields: list[Field], rng) -> dict:
     )
 
 
-def _probe_trilinear(fields: list[Field], rng) -> dict:
-    size, g, k = len(fields), fields[0].grid, 1024
-    triples = [(i, (i + 7) % size, (i + 23) % size) for i in _trilinear_indices(size)]
+def _probe_trilinear(fields: list[Field]) -> dict:
+    size, g, k = len(fields), fields[0].grid, _TRILINEAR_N_TIMES
+    triples = [(i, (i + 7) % size, (i + 23) % size) for i in _layout(size)["trilinear"]]
     # once per distinct field, which joins up to three triples: u_hat of its input
     # capped to |xi| <= 4 (so the cubic product stays temporally resolvable), and its norm
     coefs = {j: _coefficients(_band_limit(fields[j], 4.0).values, g)
@@ -421,11 +417,14 @@ def _convolution_ratios(rng):
         yield lhs / bound, f"sparse pair #{k}"
 
 
-def _probe_convolution(fields: list[Field], rng) -> dict:
+def _probe_convolution(fields: list[Field]) -> dict:
+    # calibrated on the pairing stream after the cube pairs' draws, so replay them
+    rng = np.random.default_rng(PAIRING_SEED)
+    _cube_layout(len(fields), rng)
     return _reduce(_convolution_ratios(rng))
 
 
-def _probe_xsb_free_evolution(fields: list[Field], rng) -> dict:
+def _probe_xsb_free_evolution(fields: list[Field]) -> dict:
     def ratio(f: Field) -> float:
         coef = _coefficients(f.values, f.grid)
         xsb = _free_xsb_norm(coef, f.grid, CORPUS_T_WINDOW, CORPUS_N_TIMES, 0.25, 0.51)
@@ -435,7 +434,7 @@ def _probe_xsb_free_evolution(fields: list[Field], rng) -> dict:
     return _reduce((ratio(fields[i]), f"field {i}") for i in range(0, len(fields), step))
 
 
-#: probe families in measurement order; each takes (fields, shared rng)
+#: probe families in measurement order; each is a pure function of the corpus
 _FAMILIES = {
     "bilinear_cube": _probe_bilinear_cube,
     "bilinear_lp": _probe_bilinear_lp,
@@ -444,36 +443,19 @@ _FAMILIES = {
     "xsb_free_evolution": _probe_xsb_free_evolution,
 }
 
-#: corpus indices of the families that a small corpus can leave without a sample
-_LAYOUTS = {
-    "bilinear_cube": _cube_indices,
-    "bilinear_lp": _lp_indices,
-}
-
 
 def _min_corpus_size(name: str) -> int:
     """Smallest corpus size that gives family `name` one sample."""
-    return next(n for n in itertools.count(1) if len(_LAYOUTS[name](n)))
+    return next(n for n in itertools.count(1) if len(_layout(n)[name]))
 
 
 def _measure(fields: list[Field], families=None) -> dict:
-    """Raw maxima of the named probe families over the corpus pairing.
+    """Raw maxima of the named probe families (default: all, as :func:`calibrate` needs).
 
-    Only the named families run (default: every family in the registry,
-    ``xsb_free_evolution`` included, as :func:`calibrate` needs).  Each
-    family's result does not depend on which others run: the rng stream is
-    shared, so the cube pairs are drawn even when ``bilinear_cube`` does not
-    run, and ``convolution`` sees the draws it was calibrated on.
+    Each named family runs once, in registry order; none depends on the others.
     """
-    rng = np.random.default_rng(PAIRING_SEED)
-    wanted = _FAMILIES.keys() if families is None else set(families)
-    out: dict[str, dict] = {}
-    for name, family in _FAMILIES.items():
-        if name in wanted:
-            out[name] = family(fields, rng)
-        elif name == "bilinear_cube":
-            _cube_layout(len(fields), rng)
-    return out
+    return {name: family(fields) for name, family in _FAMILIES.items()
+            if families is None or name in families}
 
 
 def calibrate() -> dict:
@@ -524,8 +506,9 @@ def run_probe_suite(
     if size < 1:
         raise ConfigError(f"corpus_size must be >= 1, got {size}")
     needs_corpus = set(names) - {"resonance"}
-    for name in sorted(needs_corpus & _LAYOUTS.keys()):
-        if not _LAYOUTS[name](size):
+    layout = _layout(size)
+    for name in sorted(needs_corpus & layout.keys()):
+        if not layout[name]:
             raise ConfigError(
                 f"corpus_size {size} gives the {name} probe no sample; "
                 f"it needs corpus_size >= {_min_corpus_size(name)}"

@@ -258,6 +258,22 @@ class EvolveResult:
     trajectory: SpaceTimeField | None = None
 
 
+def _step_count(t_final: float, dt: float) -> int:
+    """The whole number of steps of ``dt`` that make up the horizon ``t_final``."""
+    if not np.isfinite(t_final):
+        raise ValueError(f"the horizon T = {t_final} must be finite")
+    if t_final != 0.0 and (t_final < 0.0) != (dt < 0.0):
+        raise ValueError(f"dt = {dt} and the horizon T = {t_final} have opposite signs")
+    ratio = t_final / dt
+    n_steps = round(ratio) if np.isfinite(ratio) else 0
+    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-8 * max(abs(t_final), 1.0):
+        raise ValueError(
+            f"dt = {dt} does not divide the horizon T = {t_final} "
+            f"into a whole number of steps"
+        )
+    return n_steps
+
+
 def evolve(
     f0: Field, t_final: float, cfg: SolverConfig, record_every: int | None = None
 ) -> EvolveResult:
@@ -268,17 +284,8 @@ def evolve(
     trajectory is directly usable by the space-time norms.  Without it only
     the terminal state is kept.
     """
-    if not np.isfinite(t_final):
-        raise ValueError(f"the horizon T = {t_final} must be finite")
-    if t_final != 0.0 and (t_final < 0.0) != (cfg.dt < 0.0):
-        raise ValueError(f"dt = {cfg.dt} and the horizon T = {t_final} have opposite signs")
     grid = f0.grid
-    n_steps = round(t_final / cfg.dt)
-    if n_steps < 1 or abs(n_steps * cfg.dt - t_final) > 1e-8 * max(abs(t_final), 1.0):
-        raise ValueError(
-            f"dt = {cfg.dt} does not divide the horizon T = {t_final} "
-            f"into a whole number of steps"
-        )
+    n_steps = _step_count(t_final, cfg.dt)
     snapshots = None
     if record_every is not None:
         if record_every < 1 or n_steps % record_every != 0:

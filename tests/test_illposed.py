@@ -89,7 +89,9 @@ def sampled_schedule_points(seed=5, count=40):
         s = float(rng.uniform(0.0, 0.2))
         points.append((s, p, float(rng.uniform(0.1, 0.9)) * (1.0 - 4.0 * s) / 2.0))
         s = float(rng.uniform(-0.9, -0.1)) / p
-        points.append((s, p, float(rng.uniform(-p * s + 0.05, 0.95))))
+        # below the theta where the law's diff0 exponent s + 3/2 (theta + ps) - 1 turns >= 0
+        theta_max = min(0.95, 2.0 * (1.0 - s) / 3.0 - p * s)
+        points.append((s, p, float(rng.uniform(-p * s + 0.05, theta_max))))
     return points
 
 
@@ -118,6 +120,13 @@ class TestPlan:
     def test_neg_regime_needs_finite_p(self):
         with pytest.raises(ValueError, match="p < inf"):
             small_plan(s=-0.125, p=float("inf"), theta=0.55)
+
+    def test_neg_regime_refuses_a_growing_initial_difference(self):
+        # -ps < theta < 1 holds, but the law predicts diff0 ~ N^{+0.09}: it could only FAIL
+        with pytest.raises(ValueError, match=r"theta = 0.9 gives diff0 the exponent 0\.09"):
+            ExperimentPlan(
+                s=-0.02, p=8.0, t_final=1.0, carriers=(16.0, 32.0, 64.0, 128.0), theta=0.9
+            )
 
 
 class TestPlanGrid:

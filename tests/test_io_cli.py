@@ -260,6 +260,19 @@ class TestCliSolve:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "does not match" in err
 
+    def test_overflowing_step_count_exits_1_with_one_line(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            "huge.cfg",
+            "initial=soliton\nsoliton_carrier=2.0\nsoliton_scale=1.0\n"
+            "length=128\npoints=1024\nt_final=1e300\ndt=1e-300\nrecord_every=4\n",
+        )
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: dt = 1e-300 does not divide the horizon T = 1e+300")
+        assert err.count("\n") == 1
+
     def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "bad.cfg", "initial=soliton\nwavelength=3\n")
         rc = main(["solve", "--config", cfg, "--out", str(tmp_path)])
@@ -316,6 +329,14 @@ class TestCliIllposed:
         cfg = self.make_cfg(tmp_path, s="-0.125", theta="0.55")
         rc = main(["illposed", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 0
+
+    def test_plan_that_can_only_fail_exits_1_with_one_line(self, tmp_path, capsys):
+        cfg = self.make_cfg(tmp_path, s="-0.02", p="8", theta="0.9")
+        rc = main(["illposed", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: theta = 0.9 gives diff0 the exponent")
+        assert err.count("\n") == 1
 
     def test_quadrature_failure_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
         # weights that double with the order: successive rules never agree

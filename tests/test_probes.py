@@ -263,6 +263,11 @@ class TestTrilinearFamily:
             trip = [_band_limit(fields[j], 4.0) for j in triple]
             assert ratio == trilinear_ratio(*trip, 0.25, 4.0, n_times=1024)[0]
 
+    def test_default_window_is_the_family_window(self, corpus):
+        trip = [_band_limit(corpus[i], 4.0) for i in range(3)]
+        default, _ = trilinear_ratio(*trip, 0.25, 4.0)
+        assert default == trilinear_ratio(*trip, 0.25, 4.0, n_times=1024)[0]
+
     def test_band_limit_once_per_distinct_field(self, monkeypatch):
         band_limit = probes._band_limit
         calls = []
@@ -273,7 +278,7 @@ class TestTrilinearFamily:
 
         monkeypatch.setattr(probes, "_band_limit", count)
         fields = make_probe_corpus(seed=7, size=40)
-        probes._probe_trilinear(fields, np.random.default_rng(probes.PAIRING_SEED))
+        probes._probe_trilinear(fields)
         # 8 triples over 23 distinct fields (24 calls when each triple band-limits its own)
         assert calls == [4.0] * 23
 
@@ -319,8 +324,9 @@ class TestConvolutionInequality:
         # the calibrated maximum is a block sequence's, so criterion 8a alone
         # cannot see the sparse pairs; replay their stream (the pairing seed,
         # after the cube pairs of the frozen corpus) and pin their maximum.
-        # Only bilinear_cube draws before convolution; a family added ahead
-        # of it would change the stream, so the order is pinned too.
+        # The convolution family replays the cube pairs on its own stream, so
+        # registry order cannot move it; the order pin keeps the registry as
+        # it was calibrated.
         assert list(probes._FAMILIES)[:4] == [
             "bilinear_cube", "bilinear_lp", "trilinear", "convolution"
         ]
@@ -395,6 +401,13 @@ class TestAprioriTracking:
             u0, 0.125, 4.0, 1.0, SolverConfig(dt=1e-3), n_snapshots=8
         )
         assert np.max(norms) / norms[0] <= 5.0
+
+    def test_overflowing_step_count_raises_value_error(self):
+        grid = GridSpec(length=64.0, points=256)
+        with pytest.raises(ValueError, match="does not divide the horizon"):
+            apriori_tracking(
+                Field.zero(grid), 0.125, 4.0, 1e300, SolverConfig(dt=1e-300), n_snapshots=4
+            )
 
     @pytest.mark.parametrize("n_snapshots", [0, -4])
     def test_rejects_snapshot_count_below_one(self, n_snapshots):
@@ -477,23 +490,31 @@ class TestProbeRegistry:
         fields = make_probe_corpus(seed=SMALL_SEED, size=SMALL_SIZE)
         states = []
 
-        def record(fields, rng):
+        def record(rng):
             states.append(rng.bit_generator.state["state"])
-            return {}
+            return iter(())
 
-        monkeypatch.setitem(probes._FAMILIES, "convolution", record)
+        monkeypatch.setattr(probes, "_convolution_ratios", record)
         probes._measure(fields, ["convolution"])
         probes._measure(fields, ["bilinear_cube", "convolution"])
         assert states[0] == states[1]
         assert states[0] != np.random.default_rng(1).bit_generator.state["state"]
 
+    def test_registry_order_does_not_move_a_family(self, monkeypatch):
+        fields = make_probe_corpus(seed=SMALL_SEED, size=SMALL_SIZE)
+        forward = probes._measure(fields, CORPUS_FAMILIES)
+        monkeypatch.setattr(probes, "_FAMILIES", dict(reversed(probes._FAMILIES.items())))
+        backward = probes._measure(fields, CORPUS_FAMILIES)
+        assert list(backward) == list(forward)[::-1]
+        assert backward == forward
+
     def test_duplicate_names_run_the_family_once(self, monkeypatch, small_reports):
         calls = Counter()
 
         def counted(name, family):
-            def run(fields, rng):
+            def run(fields):
                 calls[name] += 1
-                return family(fields, rng)
+                return family(fields)
 
             return run
 
@@ -507,7 +528,7 @@ class TestProbeRegistry:
         order = []
         for name in list(probes._FAMILIES):
             monkeypatch.setitem(
-                probes._FAMILIES, name, lambda fields, rng, name=name: order.append(name) or {}
+                probes._FAMILIES, name, lambda fields, name=name: order.append(name) or {}
             )
         measured = probes._measure([])
         assert order == list(measured) == [
