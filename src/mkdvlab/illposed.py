@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .norms import modulation_norm, _jap, _lp
+from .norms import modulation_norm, _jap, _lp, _median
 from .solitons import (
     SolitonParams,
     modulation_norm_of_spectrum,
@@ -406,7 +406,7 @@ def verify_lemma(records: list[ExperimentRecord], plan: ExperimentPlan) -> Lemma
     half = len(records) // 2
     top = records[half:]
     difft_min = float(min(r.difft for r in top))
-    median = float(np.median([r.norm_u for r in records]))
+    median = _median([r.norm_u for r in records])
     floor_ok = difft_min >= DIFF_FLOOR * median
 
     # remainder decay: ln(tail) against N^{tail_exponent}, fitted rate c > 0

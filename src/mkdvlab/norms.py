@@ -84,6 +84,18 @@ def _lp(values: np.ndarray, p: float) -> float:
     return peak * float(np.sum((values / peak) ** p) ** (1.0 / p))
 
 
+def _median(values) -> float:
+    """Middle value, or (a + b) / 2 of the two middle ones; nan if any value is.
+
+    Bit-equal to ``np.median``, whose first call imports ``numpy.ma``.
+    """
+    v = np.sort(np.asarray(values, dtype=float))  # nan sorts last
+    if np.isnan(v[-1]):
+        return math.nan
+    mid = v.size // 2
+    return float(v[mid]) if v.size % 2 else float((v[mid - 1] + v[mid]) / 2)
+
+
 def _jap(a: np.ndarray | float) -> np.ndarray | float:
     """Japanese bracket <a> = (1 + a^2)^(1/2)."""
     return np.sqrt(1.0 + np.asarray(a, dtype=float) ** 2)

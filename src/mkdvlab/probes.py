@@ -33,6 +33,7 @@ from .norms import (
     _free_xsb_norm,
     _free_xsb_p_norm,
     _lp,
+    _median,
     cos2_taper,
     modulation_norm,
     sobolev_norm,
@@ -392,7 +393,7 @@ def _probe_trilinear(fields: list[Field]) -> dict:
     dens = {j: _trilinear_den(c, g, 0.25, 4.0, k) for j, c in coefs.items()}
     pairs = [(_trilinear_ratio([coefs[j] for j in js], [dens[j] for j in js], g, 0.25, 4.0, k),
               "fields ({},{},{})".format(*js)) for js in triples]
-    return {**_reduce(pairs), "median": float(np.median([r for r, _ in pairs]))}
+    return {**_reduce(pairs), "median": _median([r for r, _ in pairs])}
 
 
 def _convolution_ratios(rng):

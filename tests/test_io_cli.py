@@ -1,8 +1,11 @@
 """Tests for config parsing, snapshot round-trips, and the CLI."""
 
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -353,6 +356,25 @@ class TestCliIllposed:
         err = capsys.readouterr().err
         assert err.startswith("error: cube quadrature failed to converge")
         assert err.count("\n") == 1
+
+    def test_run_imports_no_polynomial_or_masked_arrays(self, tmp_path):
+        # numpy.polynomial came with the eigensolver rule and numpy.ma with
+        # np.median's first call; each import cost every fresh process time
+        cfg = self.make_cfg(tmp_path)
+        script = (
+            "import sys\n"
+            "from mkdvlab.cli import main\n"
+            f"assert main(['illposed', '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+            "print(sorted(m for m in ('numpy.polynomial', 'numpy.ma') if m in sys.modules))\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestCliProbe:

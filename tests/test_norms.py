@@ -39,6 +39,19 @@ def spectrum_field(grid, fn):
     return inverse_transform(SpectralField(grid, fn(grid.xi).astype(complex)))
 
 
+class TestMedian:
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 10, 40, 41])
+    def test_equals_numpy_median(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(50):
+            values = list(rng.standard_normal(size) * 10.0 ** rng.integers(-5, 5, size))
+            assert norms._median(values) == float(np.median(values))
+
+    def test_nan_in_gives_nan_out(self):
+        for values in ([float("nan")], [1.0, float("nan")], [3.0, 1.0, float("nan"), 2.0]):
+            assert math.isnan(norms._median(values))
+
+
 class TestSobolev:
     def test_sech_l2_mass(self):
         grid = GridSpec(length=128.0, points=2048)

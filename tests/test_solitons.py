@@ -10,6 +10,9 @@ from scipy.stats import kendalltau
 from mkdvlab.norms import modulation_norm
 from mkdvlab.solitons import (
     SolitonParams,
+    _leggauss,
+    cube_window_quadrature,
+    modulation_norm_of_spectrum,
     pair_overlap,
     sech,
     soliton_field,
@@ -207,6 +210,52 @@ class TestQuadratureGuards:
             cube_window_quadrature(
                 lambda xi: np.sin(1e6 * xi) ** 2, np.array([0]), max_order=128
             )
+
+    def test_empty_cube_list_gives_empty_integrals(self):
+        got = cube_window_quadrature(lambda xi: np.ones_like(xi), np.array([], dtype=int))
+        assert got.dtype == float and got.shape == (0,)
+
+    def test_reversed_cube_range_names_both_bounds(self):
+        with pytest.raises(ValueError, match="n_hi = 2 < n_lo = 3"):
+            modulation_norm_of_spectrum(lambda xi: np.ones_like(xi), 0.0, 2.0, 3, 2)
+
+
+RULE_ORDERS = list(range(1, 71)) + [128, 256, 512, 1024, 2048]
+ULP_2 = 2.0 * np.finfo(float).eps
+
+
+class TestGaussLegendreRule:
+    """The Newton-on-the-recurrence rule against the eigensolver rule of numpy."""
+
+    @pytest.mark.parametrize("order", RULE_ORDERS)
+    def test_structure(self, order):
+        x, w = _leggauss(order)
+        assert x.shape == w.shape == (order,)
+        assert np.all(np.diff(x) > 0) and -1.0 < x[0] and x[-1] < 1.0
+        assert np.array_equal(x, -x[::-1]) and np.all(w > 0) and np.array_equal(w, w[::-1])
+        if order % 2:
+            assert x[order // 2] == 0.0
+        # seen <= 3 ulp
+        assert abs(w.sum() - 2.0) <= 4 * ULP_2
+
+    @pytest.mark.parametrize("order", [n for n in RULE_ORDERS if n <= 1024])
+    def test_agrees_with_numpy(self, order):
+        x, w = _leggauss(order)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(order)
+        assert np.max(np.abs(x - x_ref)) <= 2.3e-16  # seen 1.1e-16
+        # numpy's own endpoint weights are off by up to 1.25e-9 at n = 1024
+        # (40-digit reference); this rule's by 4e-12
+        assert np.max(np.abs(w / w_ref - 1.0)) <= 2e-9  # seen 1.24e-9
+
+    def test_oscillatory_integral_to_roundoff(self):
+        # numpy's rule misses this by 1.2e-14
+        x, w = _leggauss(512)
+        assert abs(w @ np.cos(40.0 * x) - math.sin(40.0) / 20.0) <= 1e-15
+
+    def test_exact_on_even_monomials(self):
+        x, w = _leggauss(64)
+        for k in range(64):
+            assert abs(w @ x ** (2 * k) - 2.0 / (2 * k + 1)) <= 2 * ULP_2, k
 
 
 class TestPairOverlap:
