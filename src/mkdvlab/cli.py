@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .illposed import ExperimentPlan, ExperimentRecord, run_sweep, verify_lemma
+from .illposed import MIN_FIT_RECORDS, ExperimentPlan, ExperimentRecord, run_sweep, verify_lemma
 from .io import (
     ConfigError,
     SnapshotError,
@@ -202,11 +202,19 @@ def cmd_illposed(cfg: dict, out: Path, seed: int | None, jobs: int) -> int:
     opts = _parse(cfg, "illposed")
     # N_min and N_max parse to their base-2 exponents
     k_min, k_max = round(opts["N_min"]), round(opts["N_max"])
+    carriers = tuple(2.0**k for k in range(k_min, k_max + 1))
+    # the verdict fits a slope over the sweep: refuse a sweep it cannot fit
+    if len(carriers) < MIN_FIT_RECORDS:
+        raise ConfigError(
+            f"N_min = {2.0**k_min:g} to N_max = {2.0**k_max:g} gives {len(carriers)} "
+            f"carriers; the exponent fit needs at least {MIN_FIT_RECORDS} "
+            f"(N_max >= {2 ** (MIN_FIT_RECORDS - 1)} N_min)"
+        )
     plan = ExperimentPlan(
         s=opts["s"],
         p=opts["p"],
         t_final=opts["T"],
-        carriers=tuple(2.0**k for k in range(k_min, k_max + 1)),
+        carriers=carriers,
         **_given(opts, "theta", "use_solver"),
     )
     records = run_sweep(plan, jobs=jobs)

@@ -56,6 +56,8 @@ NORM_BAND = 3.0
 DIFF_FLOOR = 0.3
 #: relative grid/quadrature disagreement that aborts a sweep point
 AGREEMENT_TOL = 1e-4
+#: fewest sweep points (carriers) the exponent fit accepts
+MIN_FIT_RECORDS = 4
 
 
 def _default_theta(s: float, p: float) -> float:
@@ -338,8 +340,8 @@ class FitResult:
 
 def fit_exponent(records: list[ExperimentRecord], field_name: str) -> FitResult:
     """Least-squares slope of log(field) against log(carrier)."""
-    if len(records) < 4:
-        raise ValueError(f"need at least 4 records to fit, got {len(records)}")
+    if len(records) < MIN_FIT_RECORDS:
+        raise ValueError(f"need at least {MIN_FIT_RECORDS} records to fit, got {len(records)}")
     n = np.array([r.carrier for r in records], dtype=float)
     if np.max(n) / np.min(n) < 8.0:
         raise ValueError("carriers must span at least 3 octaves")

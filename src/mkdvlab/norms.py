@@ -26,6 +26,9 @@ G = dt FFT_t[eta(t_k) exp(i t_k xi^3)] fixed by (grid, T_w, K).  The probes'
 private ``_free_xsb_norm`` and ``_free_xsb_p_norm`` therefore take u_hat
 itself and reduce |u_hat|^2 against the M-length column table
 H_b(xi) = sum_tau <tau - xi^3>^{2b} |G|^2, built once per (grid, T_w, K, b).
+A trajectory the caller builds and gives up, such as the probes' trilinear
+product, is normed in place by ``_xsb_p_norm_in_place``: the same checks,
+taper, transforms and reduction as ``xsb_p_norm``, with no copy.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ from .spectral import (
     ResolutionError,
     _coefficients,
     _coefficients_in_place,
+    _ifft_kernel,
     _is_pow2,
-    _samples,
     _scaled_squares,
     cos2_window,
     forward_transform,
@@ -178,6 +181,23 @@ def cos2_taper(times: np.ndarray, t_window: float) -> np.ndarray:
     return eta
 
 
+def _window_taper(t_window: float, k: int) -> np.ndarray:
+    """The taper eta(t_k) at the K window times t_k = k T_w / K."""
+    return cos2_taper((t_window / k) * np.arange(k), t_window)
+
+
+def _check_trajectory(g: GridSpec, t_window: float, samples: np.ndarray) -> None:
+    """Refuse (K, M) samples over [0, T_w) unless K is a power of two, T_w > 0, all finite."""
+    if samples.ndim != 2 or samples.shape[1] != g.points:
+        raise ValueError(f"samples must be (K, {g.points}), got {samples.shape}")
+    if not _is_pow2(samples.shape[0]):
+        raise ValueError(f"snapshot count must be a power of two, got {samples.shape[0]}")
+    if not t_window > 0:
+        raise ValueError("time window must be positive")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("space-time samples contain non-finite values")
+
+
 @dataclass(frozen=True, eq=False)
 class SpaceTimeField:
     """K equispaced snapshots over the window [0, T_w), K a power of two.
@@ -192,15 +212,7 @@ class SpaceTimeField:
 
     def __post_init__(self) -> None:
         arr = np.array(self.samples, dtype=np.complex128)
-        k = arr.shape[0]
-        if arr.ndim != 2 or arr.shape[1] != self.grid.points:
-            raise ValueError(f"samples must be (K, {self.grid.points}), got {arr.shape}")
-        if not _is_pow2(k):
-            raise ValueError(f"snapshot count must be a power of two, got {k}")
-        if not self.t_window > 0:
-            raise ValueError("time window must be positive")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("space-time samples contain non-finite values")
+        _check_trajectory(self.grid, self.t_window, arr)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
@@ -218,7 +230,7 @@ class SpaceTimeField:
 
     @property
     def cutoff(self) -> np.ndarray:
-        return cos2_taper(self.times, self.t_window)
+        return _window_taper(self.t_window, self.n_times)
 
     def windowed_samples(self) -> np.ndarray:
         return self.cutoff[:, None] * self.samples
@@ -261,11 +273,27 @@ def _airy_phases(g: GridSpec, t_window: float, n_times: int) -> np.ndarray:
     return phases
 
 
+def _free_samples(phases: np.ndarray, coef: np.ndarray, g: GridSpec, scale) -> np.ndarray:
+    """``scale`` times the free evolution of u_hat = ``coef`` (``phases``: :func:`_airy_phases`).
+
+    This is ``scale * _samples(phases * coef)`` with one (K, M) allocation,
+    the phase product, and no pass besides the inverse transform: the
+    transform phase (-1)^k is folded into the M-length u_hat (a sign flip,
+    exact), and the inverse's 1/(M dx) = 1/L rides with ``scale`` on the
+    kernel factor.  ``scale`` is a number, or a (K,) array that scales row k.
+    For ``scale = 1`` the result is the longhand's bit for bit at every L
+    (numpy divides by dx as a multiply by 1/dx = M/L); for an array it is
+    when L is a power of two, and within two roundings otherwise.
+    """
+    w = np.multiply(phases, g._phase() * coef)
+    return _ifft_kernel(w, np.divide(scale, g.length), out=w)
+
+
 def free_evolution(f: Field, t_window: float, n_times: int) -> SpaceTimeField:
     """Trajectory of the free (Airy) flow sampled over [0, T_w)."""
     g = f.grid
-    samples = _samples(_airy_phases(g, t_window, n_times) * _coefficients(f.values, g), g)
-    return SpaceTimeField(g, t_window, samples)
+    phases = _airy_phases(g, t_window, n_times)
+    return SpaceTimeField(g, t_window, _free_samples(phases, _coefficients(f.values, g), g, 1.0))
 
 
 def _check_dispersion_resolved(g: GridSpec, t_window: float, k: int, col_peak: np.ndarray) -> None:
@@ -289,18 +317,28 @@ def _check_dispersion_resolved(g: GridSpec, t_window: float, k: int, col_peak: n
             )
 
 
-def _space_time_coefficients(u: SpaceTimeField) -> np.ndarray:
-    """Windowed double transform: the (K, M) coefficients on the (tau, xi) lattice.
+def _space_time_transform(buf: np.ndarray, g: GridSpec, t_window: float) -> np.ndarray:
+    """Double transform of the tapered (K, M) samples ``buf``, written over it.
 
-    Checks that the temporal band resolves the xi^3 dispersion of the occupied
-    spatial band and reports the snapshot count that would.  The windowed
-    samples are the one (K, M) array it allocates: both transforms and the
-    dt scaling are written into it in place, and ``u`` is only read.
+    The (K, M) coefficients on the (tau, xi) lattice: the spatial transform,
+    the time FFT and the dt scaling all run in place.  Between the two
+    transforms it checks that the temporal band resolves the xi^3 dispersion
+    of the occupied spatial band, and reports the snapshot count that would.
     """
-    spatial = _coefficients_in_place(u.windowed_samples(), u.grid)
-    _check_dispersion_resolved(u.grid, u.t_window, u.n_times, np.max(np.abs(spatial), axis=0))
+    k = buf.shape[0]
+    spatial = _coefficients_in_place(buf, g)
+    _check_dispersion_resolved(g, t_window, k, np.max(np.abs(spatial), axis=0))
     np.fft.fft(spatial, axis=0, out=spatial)
-    return np.multiply(u.dt, spatial, out=spatial)
+    return np.multiply(t_window / k, spatial, out=spatial)
+
+
+def _space_time_coefficients(u: SpaceTimeField) -> np.ndarray:
+    """Windowed double transform of ``u``: :func:`_space_time_transform` of its windowed samples.
+
+    The windowed samples are the one (K, M) array it allocates; ``u`` is
+    only read.
+    """
+    return _space_time_transform(u.windowed_samples(), u.grid, u.t_window)
 
 
 @_table_cache
@@ -321,7 +359,7 @@ def _column_table(g: GridSpec, t_window: float, k: int, b: float) -> np.ndarray:
     st = G u_hat and weighted tau-sums |u_hat(xi)|^2 H_b(xi).
     """
     dt = t_window / k
-    gain = cos2_taper(dt * np.arange(k), t_window)[:, None] * _airy_phases(g, t_window, k)
+    gain = _window_taper(t_window, k)[:, None] * _airy_phases(g, t_window, k)
     np.fft.fft(gain, axis=0, out=gain)
     np.multiply(dt, gain, out=gain)
     # |G|^2 = Re^2 + Im^2 is formed in the real parts of the one (K, M)
@@ -372,10 +410,31 @@ def xsb_p_norm(u: SpaceTimeField, s: float, b: float, p: float) -> float:
     weighted by <n>^s and aggregated in l^p_n.  At p = 2 this agrees with
     :func:`xsb_norm` up to the <n>-vs-<xi> weight equivalence on each cube.
     """
-    st = _space_time_coefficients(u)
-    w_tau = _modulation_weight(u.grid, u.t_window, u.n_times, b)
+    return _xsb_p_reduce(_space_time_coefficients(u), u.grid, u.t_window, s, b, p)
+
+
+def _xsb_p_reduce(
+    st: np.ndarray, g: GridSpec, t_window: float, s: float, b: float, p: float
+) -> float:
+    """:func:`xsb_p_norm` from the (K, M) double-transform coefficients ``st``."""
+    w_tau = _modulation_weight(g, t_window, st.shape[0], b)
     a2, e = _scaled_squares(st)
-    return _cube_lp(np.sum(np.multiply(w_tau, a2, out=a2), axis=0), e, u.grid, u.t_window, s, p)
+    return _cube_lp(np.sum(np.multiply(w_tau, a2, out=a2), axis=0), e, g, t_window, s, p)
+
+
+def _xsb_p_norm_in_place(
+    samples: np.ndarray, g: GridSpec, t_window: float, s: float, b: float, p: float
+) -> float:
+    """:func:`xsb_p_norm` of the trajectory ``samples`` over [0, T_w), written over them.
+
+    ``samples`` is a (K, M) complex128 array the caller gives up.  It gets
+    :class:`SpaceTimeField`'s checks, then the taper and the double transform
+    in place, so no trajectory or windowed copy is made; the bits are those of
+    ``xsb_p_norm(SpaceTimeField(g, t_window, samples), s, b, p)``.
+    """
+    _check_trajectory(g, t_window, samples)
+    np.multiply(_window_taper(t_window, samples.shape[0])[:, None], samples, out=samples)
+    return _xsb_p_reduce(_space_time_transform(samples, g, t_window), g, t_window, s, b, p)
 
 
 def _free_xsb_norm(

@@ -28,16 +28,16 @@ import numpy as np
 
 from .io import ConfigError
 from .norms import (
-    SpaceTimeField,
     _airy_phases,
+    _free_samples,
     _free_xsb_norm,
     _free_xsb_p_norm,
     _lp,
     _median,
-    cos2_taper,
+    _window_taper,
+    _xsb_p_norm_in_place,
     modulation_norm,
     sobolev_norm,
-    xsb_p_norm,
 )
 from .solver import SolverConfig, _step_count, evolve
 from .spectral import (
@@ -45,7 +45,6 @@ from .spectral import (
     GridSpec,
     SpectralField,
     _coefficients,
-    _samples,
     _scaled_squares,
     fourier_multiplier,
     inverse_transform,
@@ -146,12 +145,17 @@ def _st_l2(samples: np.ndarray, grid: GridSpec, dt: float) -> float:
 def _windowed_free_samples(coefs, grid: GridSpec, n_times: int) -> list[np.ndarray]:
     """eta(t_k) times the free evolution of each u_hat in ``coefs``, one (K, M) array each.
 
-    For u_hat = ``_coefficients(f.values, grid)`` these are, bit for bit, the
-    ``windowed_samples()`` of ``free_evolution(f, CORPUS_T_WINDOW, n_times)``.
+    Each factor is one (K, M) allocation, the phase product, and one inverse
+    transform written into it, whose per-row kernel factor eta(t_k)/L
+    carries both the taper and the transform's scaling
+    (``norms._free_samples``).  For u_hat = ``_coefficients(f.values, grid)``
+    and L a power of two (the corpus has L = 64) these are, bit for bit, the
+    ``windowed_samples()`` of ``free_evolution(f, CORPUS_T_WINDOW, n_times)``;
+    at other L they agree to roundoff.
     """
     phases = _airy_phases(grid, CORPUS_T_WINDOW, n_times)
-    eta = cos2_taper((CORPUS_T_WINDOW / n_times) * np.arange(n_times), CORPUS_T_WINDOW)[:, None]
-    return [np.multiply(eta, w, out=w) for w in (_samples(phases * c, grid) for c in coefs)]
+    eta = _window_taper(CORPUS_T_WINDOW, n_times)
+    return [_free_samples(phases, c, grid, eta) for c in coefs]
 
 
 def _bilinear_ratio(pu: Field, pv: Field, eps: float, divisor: float) -> float:
@@ -214,8 +218,9 @@ def _trilinear_ratio(coefs, dens, g: GridSpec, s: float, p: float, n_times: int)
     """Body of :func:`trilinear_ratio`: u_hat = ``coefs``, their norms ``dens`` reduced last."""
     w1, w2, w3 = _windowed_free_samples((coefs[0], coefs[1], 1j * g.xi * coefs[2]), g, n_times)
     np.multiply(w1, np.conj(w2, out=w2), out=w1)
-    w = SpaceTimeField(g, CORPUS_T_WINDOW, np.multiply(w1, w3, out=w1))
-    num = xsb_p_norm(w, s, -0.5 + 2.0 * _TRILINEAR_EPS, p)
+    np.multiply(w1, w3, out=w1)
+    # w1 is given up to the norm, which tapers and transforms it in place
+    num = _xsb_p_norm_in_place(w1, g, CORPUS_T_WINDOW, s, -0.5 + 2.0 * _TRILINEAR_EPS, p)
     den = math.prod(dens)
     return 0.0 if den == 0.0 else num / den
 

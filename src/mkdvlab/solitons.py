@@ -224,13 +224,17 @@ def cube_window_quadrature(
     cube changed by less than QUAD_REL_TOL (relative to itself or to the
     largest cube, whichever is larger), vectorized across cubes.  High orders
     handle the oscillatory difference spectra produced by traveling solitons.
-    An empty cube list gives an empty array.
+    An empty cube list gives an empty array; a max_order below 128 (two
+    orders) is refused with ValueError.
     """
+    order = 64
+    # convergence compares two successive orders, so one order never converges
+    if max_order < 2 * order:
+        raise ValueError(f"max_order must be at least {2 * order}, got {max_order}")
     n_values = np.asarray(n_values)
     vals = np.full(n_values.size, np.nan)
     pending = np.ones(n_values.size, dtype=bool)
     prev = None
-    order = 64
     while order <= max_order:
         u, w = _leggauss(order)
         pts = n_values[pending, None] + u[None, :]

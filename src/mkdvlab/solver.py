@@ -30,7 +30,7 @@ then writes into them through ``out=`` arguments, and each ``nonlin`` call
 returns a fresh array because the four stage derivatives are alive together.
 The RK4 combination is the plain expression evaluated in its original
 order.  The twelve transforms of a step call numpy's pocketfft kernels (the
-gufuncs behind ``np.fft``, present since numpy 2.0) directly, which skips
+gufuncs behind ``np.fft``, bound in :mod:`mkdvlab.spectral`) directly, which skips
 ``np.fft``'s per-call argument handling.  The kernels' factors carry the
 scalings of the padded cubic term: ``1 / M`` on both inverse transforms and
 ``-sign * 36 / (P/M)`` on the forward one, for a padded length P = 3M/2.
@@ -44,10 +44,18 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.fft import _pocketfft_umath
 
 from .norms import SpaceTimeField
-from .spectral import Field, GridSpec, _is_pow2, _scaled_squares, derivative, require_zero_offset
+from .spectral import (
+    Field,
+    GridSpec,
+    _fft_kernel,
+    _ifft_kernel,
+    _is_pow2,
+    _scaled_squares,
+    derivative,
+    require_zero_offset,
+)
 
 __all__ = [
     "NONLINEAR_COEFFICIENT",
@@ -62,11 +70,6 @@ __all__ = [
 ]
 
 NONLINEAR_COEFFICIENT = 36.0
-
-# pocketfft's complex kernels: kernel(a, fct, out=) transforms along the last
-# axis and multiplies by fct; np.fft.ifft passes 1/n and np.fft.fft passes 1
-_ifft_kernel = _pocketfft_umath.ifft
-_fft_kernel = _pocketfft_umath.fft
 
 
 class SolverError(RuntimeError):

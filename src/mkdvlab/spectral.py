@@ -14,7 +14,11 @@ The convention lives in one private pair, ``_coefficients_in_place`` and
 ``_samples``, which transform along the last axis (a (K, M) trajectory row
 by row).  The forward half writes over a complex128 array its caller owns;
 ``_coefficients`` applies it to a copy, so it and ``_samples`` each allocate
-one result array and never write into their input.
+one result array and never write into their input.  ``_ifft_kernel`` and
+``_fft_kernel`` bind numpy's pocketfft gufuncs, the kernels behind
+``np.fft``, for the callers that fold this convention's scalings into the
+kernel factor (the solver's time loop, the free-evolution samples of
+:mod:`mkdvlab.norms`).
 ``forward_transform`` and ``inverse_transform`` wrap the pair for
 single fields, and every multiplier (derivatives, projectors, the Airy
 group) is one call of :func:`fourier_multiplier`.  Only the solver's time
@@ -39,8 +43,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import _pocketfft_umath
 
 TWO_PI = 2.0 * np.pi
+
+# pocketfft's complex kernels (numpy >= 2.0): kernel(a, fct, out=) transforms
+# along the last axis and multiplies by fct; np.fft.ifft passes 1/n and
+# np.fft.fft passes 1.  fct has gufunc signature (), so an array of shape
+# (K,) against a (K, M) stack scales row k by fct[k].
+_ifft_kernel = _pocketfft_umath.ifft
+_fft_kernel = _pocketfft_umath.fft
 
 
 class GridMismatchError(ValueError):

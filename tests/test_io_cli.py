@@ -322,6 +322,23 @@ class TestCliIllposed:
         assert capsys.readouterr().err == "config error: jobs must be >= 1, got 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_min, n_max", [("16", "64"), ("64", "16")])
+    def test_sweep_too_short_to_fit_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, n_min, n_max
+    ):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("run_sweep called")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        cfg = self.make_cfg(tmp_path, N_min=n_min, N_max=n_max)
+        out = tmp_path / "o"
+        rc = main(["illposed", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:") and "at least 4" in err
+        assert err.count("\n") == 1
+        assert not (out / "records.csv").exists()
+
     def test_boundary_s_refused(self, tmp_path, capsys):
         cfg = self.make_cfg(tmp_path, s="0.25")
         rc = main(["illposed", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -374,6 +374,14 @@ class TestFreeEvolutionRoute:
         with pytest.raises(ValueError, match="read-only"):
             u.samples[0, 0] = 0.0
 
+    @pytest.mark.parametrize("length", [80.0, 100.0])
+    def test_free_evolution_bit_equal_longhand_at_other_lengths(self, st_corpus, length):
+        # 1/L on the kernel factor against the longhand's division by dx, which
+        # numpy carries out as a multiply by 1/dx = M/L
+        f = Field(GridSpec(length=length, points=256), st_corpus[0].values)
+        u = free_evolution(f, 1.0, 256)
+        assert np.array_equal(u.samples, free_evolution_samples_uncached(f, 1.0, 256))
+
 
 # test-local copies of the uncached table expressions
 

@@ -7,9 +7,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from mkdvlab import probes
+from mkdvlab import norms, probes
 from mkdvlab.io import ConfigError
-from mkdvlab.norms import free_evolution, modulation_norm
+from mkdvlab.norms import SpaceTimeField, cos2_taper, free_evolution, modulation_norm, xsb_p_norm
 from mkdvlab.probes import (
     CORPUS_GRID,
     apriori_tracking,
@@ -196,6 +196,21 @@ class TestTrilinear:
         for f, w in zip(fields, built):
             assert np.array_equal(w, free_evolution(f, 1.0, n_times).windowed_samples())
 
+    # eta(t_k)/L is rounded when L is not a power of two; the longhand rounds at
+    # 1/dx and at eta, so each side rounds twice (measured: at most 1.7 eps
+    # elementwise at L = 72, 80, 96, 100 and 200)
+    @pytest.mark.parametrize("length", [80.0, 100.0])
+    @pytest.mark.parametrize("n_times", [256, 1024])
+    def test_factor_samples_at_other_lengths_within_two_roundings(self, corpus, length, n_times):
+        g = GridSpec(length=length, points=256)
+        coefs = [_coefficients(corpus[i].values, g) for i in range(3)]
+        t = (1.0 / n_times) * np.arange(n_times)
+        phases = np.exp(1j * np.outer(t, g.xi**3))
+        eta = cos2_taper(t, 1.0)[:, None]
+        for coef, w in zip(coefs, probes._windowed_free_samples(coefs, g, n_times)):
+            longhand = eta * (np.fft.ifft(g._phase() * (phases * coef), axis=1) / g.dx)
+            assert np.all(np.abs(w - longhand) <= 2.0 * np.finfo(float).eps * np.abs(longhand))
+
     def test_derivative_factor_matches_transform_round_trip(self, corpus):
         # i xi u_hat evolved freely against the derivative of the evolved
         # samples, taken by a forward and inverse transform
@@ -229,9 +244,31 @@ class TestTrilinear:
         assert ratio <= 10.0 * median
 
 
+class TestTrilinearNumerator:
+    @pytest.mark.parametrize("i", range(160, 165))
+    def test_in_place_numerator_equals_public_norm(self, corpus, i):
+        # the frozen family's triple i: the product trajectory normed in place
+        # against the norm of a SpaceTimeField built from a copy of it
+        g, b = CORPUS_GRID, -0.5 + 2.0 * probes._TRILINEAR_EPS
+        coefs = [_coefficients(_band_limit(corpus[j], 4.0).values, g)
+                 for j in (i, (i + 7) % 200, (i + 23) % 200)]
+        w1, w2, w3 = probes._windowed_free_samples(
+            (coefs[0], coefs[1], 1j * g.xi * coefs[2]), g, 1024
+        )
+        product = w1 * np.conj(w2) * w3
+        public = xsb_p_norm(SpaceTimeField(g, 1.0, product), 0.25, b, 4.0)
+        assert norms._xsb_p_norm_in_place(product, g, 1.0, 0.25, b, 4.0) == public
+
+    def test_in_place_numerator_refuses_non_finite_samples(self):
+        bad = np.ones((16, CORPUS_GRID.points), complex)
+        bad[3, 5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            norms._xsb_p_norm_in_place(bad, CORPUS_GRID, 1.0, 0.25, -0.48, 4.0)
+
+
 class TestTrilinearFamily:
     def test_each_field_normed_once_and_ratios_match_public(self, monkeypatch):
-        calls = {"xsb_p_norm": [], "_free_xsb_p_norm": []}
+        calls = {"_xsb_p_norm_in_place": [], "_free_xsb_p_norm": []}
         pairs = []
         reduce = probes._reduce
 
@@ -256,7 +293,7 @@ class TestTrilinearFamily:
         distinct = {j for triple in triples for j in triple}
         # one numerator per triple, one denominator per distinct corpus field
         assert (len(triples), len(distinct)) == (8, 23)
-        assert len(calls["xsb_p_norm"]) == len(triples)
+        assert len(calls["_xsb_p_norm_in_place"]) == len(triples)
         assert len(calls["_free_xsb_p_norm"]) == len(distinct)
         fields = make_probe_corpus(seed=7, size=40)
         for (ratio, _), triple in zip(pairs, triples):

@@ -211,6 +211,12 @@ class TestQuadratureGuards:
                 lambda xi: np.sin(1e6 * xi) ** 2, np.array([0]), max_order=128
             )
 
+    def test_max_order_below_two_orders_is_refused_up_front(self):
+        # convergence compares orders 64 and 128, so max_order = 64 could never
+        # converge, not even for a constant integrand
+        with pytest.raises(ValueError, match="max_order must be at least 128, got 64"):
+            cube_window_quadrature(lambda xi: np.ones_like(xi), np.array([3]), max_order=64)
+
     def test_empty_cube_list_gives_empty_integrals(self):
         got = cube_window_quadrature(lambda xi: np.ones_like(xi), np.array([], dtype=int))
         assert got.dtype == float and got.shape == (0,)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mkdvlab.norms import cos2_taper
 from mkdvlab.solitons import SolitonParams, soliton_field, soliton_time_derivative
 from mkdvlab.solver import (
     NONLINEAR_COEFFICIENT,
@@ -353,14 +354,15 @@ class TestWorkspaceMatchesReference:
 
 
 # ---------------------------------------------------------------------------
-# numpy's private pocketfft kernels, which the workspace calls directly
+# numpy's private pocketfft kernels, which the workspace and
+# norms._free_samples call directly
 # ---------------------------------------------------------------------------
 
 class TestNumpyPrivatePocketfftKernels:
-    """The workspace binds ``numpy.fft._pocketfft_umath.ifft``/``.fft``.
+    """``spectral`` binds ``numpy.fft._pocketfft_umath.ifft``/``.fft``.
 
     They are numpy's private API: a numpy release that moves or changes them
-    fails here (or at the import of ``mkdvlab.solver``).
+    fails here (or at the import of ``mkdvlab.spectral``).
     """
 
     @pytest.mark.parametrize("n", [384, 768, 1000, 6144])
@@ -373,6 +375,18 @@ class TestNumpyPrivatePocketfftKernels:
         fwd = x.copy()
         _fft_kernel(fwd, 1.0, out=fwd)  # in place, as the workspace calls it
         assert np.array_equal(fwd, np.fft.fft(x))
+
+    @pytest.mark.parametrize("k", [256, 1024])
+    def test_per_row_factor_bit_equal_scaled_np_fft(self, k):
+        # the factor eta(t_k)/L of norms._free_samples, one per row of a
+        # (K, M) stack; with M = 256 and L = 64, 1/M and 1/dx are exact
+        g = GridSpec(length=64.0, points=256)
+        rng = np.random.default_rng(k)
+        stack = rng.standard_normal((k, 256)) + 1j * rng.standard_normal((k, 256))
+        eta = cos2_taper((1.0 / k) * np.arange(k), 1.0)
+        expected = np.fft.ifft(stack, axis=-1) / g.dx * eta[:, None]
+        _ifft_kernel(stack, eta / g.length, out=stack)  # in place, as norms._free_samples does
+        assert np.array_equal(stack, expected)
 
     @pytest.mark.parametrize("pad", [384, 576, 768, 1500, 6144])
     def test_workspace_factors_bit_equal_scaled_np_fft(self, pad):
