@@ -203,6 +203,9 @@ def cmd_illposed(cfg: dict, out: Path, seed: int | None, jobs: int) -> int:
     # N_min and N_max parse to their base-2 exponents
     k_min, k_max = round(opts["N_min"]), round(opts["N_max"])
     carriers = tuple(2.0**k for k in range(k_min, k_max + 1))
+    # the soliton pair's construction needs carriers N > 1
+    if k_min < 1:
+        raise ConfigError(f"N_min must exceed 1, got {2.0**k_min:g}")
     # the verdict fits a slope over the sweep: refuse a sweep it cannot fit
     if len(carriers) < MIN_FIT_RECORDS:
         raise ConfigError(

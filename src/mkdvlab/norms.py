@@ -70,7 +70,7 @@ __all__ = [
 TAIL_TOL = 1e-10
 
 #: bytes each table cache keeps (the probe corpus needs 5 MiB of phases and
-#: 4.5 MiB of weights); a larger table is rebuilt on every call
+#: 2 MiB of weights); a larger table is rebuilt on every call
 _TABLE_CACHE_BYTES = 8 * 2**20
 
 
@@ -341,13 +341,16 @@ def _space_time_coefficients(u: SpaceTimeField) -> np.ndarray:
     return _space_time_transform(u.windowed_samples(), u.grid, u.t_window)
 
 
-@_table_cache
-def _modulation_weight(g: GridSpec, t_window: float, k: int, b: float) -> np.ndarray:
+def _weight(g: GridSpec, t_window: float, k: int, b: float) -> np.ndarray:
     """Read-only (K, M) weight <tau - xi^3>^{2b} on the windowed double-transform lattice."""
     tau = TWO_PI * np.fft.fftfreq(k, d=t_window / k)
     w_tau = (1.0 + (tau[:, None] - g.xi[None, :] ** 3) ** 2) ** b
     w_tau.setflags(write=False)
     return w_tau
+
+
+#: the weight of the trajectory norms, kept per (grid, T_w, K, b)
+_modulation_weight = _table_cache(_weight)
 
 
 @_table_cache
@@ -356,20 +359,22 @@ def _column_table(g: GridSpec, t_window: float, k: int, b: float) -> np.ndarray:
 
     G = dt FFT_t[eta(t_k) exp(i t_k xi^3)] is the windowed double transform
     of the free evolution of u_hat = 1, so the free evolution of any u_hat has
-    st = G u_hat and weighted tau-sums |u_hat(xi)|^2 H_b(xi).
+    st = G u_hat and weighted tau-sums |u_hat(xi)|^2 H_b(xi).  Only this
+    M-length table is kept: the (K, M) weight it reduces is built by the
+    uncached ``_weight`` and dropped, since the table is built once per key.
     """
     dt = t_window / k
     gain = _window_taper(t_window, k)[:, None] * _airy_phases(g, t_window, k)
     np.fft.fft(gain, axis=0, out=gain)
     np.multiply(dt, gain, out=gain)
     # |G|^2 = Re^2 + Im^2 is formed in the real parts of the one (K, M)
-    # buffer, and the weight is requested after it: in trials, one more (K, M)
+    # buffer, and the weight is built after it: in trials, one more (K, M)
     # temporary, or a weight built into the heap the buffer then takes, raised
     # probe-corpus peak RSS by 1.5 to 2.6 MiB
     parts = gain.view(np.float64).reshape(k, g.points, 2)
     np.square(parts, out=parts)
     gain2 = np.add(parts[..., 0], parts[..., 1], out=parts[..., 0])
-    col = np.sum(np.multiply(_modulation_weight(g, t_window, k, b), gain2, out=gain2), axis=0)
+    col = np.sum(np.multiply(_weight(g, t_window, k, b), gain2, out=gain2), axis=0)
     col.setflags(write=False)
     return col
 

@@ -298,6 +298,8 @@ class TestVerdict:
     def test_pool_never_outnumbers_the_carriers(self, monkeypatch, jobs, carriers, workers):
         # a pool that records its size and maps in this process; no process
         # is started, so a huge jobs value is safe to pass
+        import concurrent.futures
+
         from mkdvlab import illposed
 
         sizes, done = [], []
@@ -322,7 +324,7 @@ class TestVerdict:
                 diff0=1.0, difft=1.0, tail=0.0,
             )
 
-        monkeypatch.setattr(illposed, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(illposed, "run_point", fake_point)
         records = run_sweep(small_plan(carriers=carriers), jobs=jobs)
         assert sizes == workers

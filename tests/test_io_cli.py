@@ -339,6 +339,22 @@ class TestCliIllposed:
         assert err.count("\n") == 1
         assert not (out / "records.csv").exists()
 
+    @pytest.mark.parametrize("n_min", ["1", "0.5"])
+    def test_carrier_not_above_one_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, n_min
+    ):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("run_sweep called")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        cfg = self.make_cfg(tmp_path, N_min=n_min, N_max="16")
+        out = tmp_path / "o"
+        rc = main(["illposed", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"config error: N_min must exceed 1, got {float(n_min):g}\n"
+        assert not (out / "records.csv").exists()
+
     def test_boundary_s_refused(self, tmp_path, capsys):
         cfg = self.make_cfg(tmp_path, s="0.25")
         rc = main(["illposed", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -527,10 +527,16 @@ class TestCachedTables:
 
     def test_probe_corpus_tables_stay_resident(self, monkeypatch):
         # every table a run of the corpus families asks for is built once:
-        # the set (phases for K = 256, 1024, weights for three b, columns for
-        # two) fits the budget
+        # the set (phases for K = 256, 1024, the numerators' weight, columns
+        # for two b) fits the budget; a column table keeps no weight
         from mkdvlab import probes
 
+        g = probes.CORPUS_GRID
+        expected = {
+            norms._airy_phases: {(g, 1.0, 256), (g, 1.0, 1024)},
+            norms._modulation_weight: {(g, 1.0, 1024, -0.48)},
+            norms._column_table: {(g, 1.0, 256, 0.55), (g, 1.0, 1024, 0.51)},
+        }
         requested = {}
         for name in ("_airy_phases", "_modulation_weight", "_column_table"):
             cache = getattr(norms, name)
@@ -548,8 +554,8 @@ class TestCachedTables:
             ["bilinear_cube", "bilinear_lp", "trilinear"], corpus_seed=7, corpus_size=20
         )
         for cache, keys in requested.items():
-            assert len(keys) > len(set(keys)) >= 2
-            assert set(keys) == set(cache.tables)
+            assert len(keys) > len(set(keys))
+            assert set(keys) == expected[cache] == set(cache.tables)
 
     def test_retention_within_budget_after_large_trilinear_grids(self):
         # M = 512, K = 1024 and M = 1024, K = 2048: tables of 4 to 32 MiB

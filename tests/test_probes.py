@@ -192,7 +192,7 @@ class TestTrilinear:
     def test_factor_samples_from_u_hat_equal_windowed_free_evolution(self, corpus, n_times):
         fields = [_band_limit(corpus[i], 4.0) for i in (0, 1)] + [corpus[2]]
         coefs = [_coefficients(f.values, f.grid) for f in fields]
-        built = probes._windowed_free_samples(coefs, CORPUS_GRID, n_times)
+        built = [probes._windowed_free_product([c], CORPUS_GRID, n_times) for c in coefs]
         for f, w in zip(fields, built):
             assert np.array_equal(w, free_evolution(f, 1.0, n_times).windowed_samples())
 
@@ -207,7 +207,8 @@ class TestTrilinear:
         t = (1.0 / n_times) * np.arange(n_times)
         phases = np.exp(1j * np.outer(t, g.xi**3))
         eta = cos2_taper(t, 1.0)[:, None]
-        for coef, w in zip(coefs, probes._windowed_free_samples(coefs, g, n_times)):
+        built = [probes._windowed_free_product([c], g, n_times) for c in coefs]
+        for coef, w in zip(coefs, built):
             longhand = eta * (np.fft.ifft(g._phase() * (phases * coef), axis=1) / g.dx)
             assert np.all(np.abs(w - longhand) <= 2.0 * np.finfo(float).eps * np.abs(longhand))
 
@@ -222,7 +223,7 @@ class TestTrilinear:
                 1j * g.xi * _coefficients(traj.samples, g), g
             )
             coef = 1j * g.xi * _coefficients(f.values, g)
-            (direct,) = probes._windowed_free_samples([coef], g, 1024)
+            direct = probes._windowed_free_product([coef], g, 1024)
             assert np.max(np.abs(direct - round_trip)) <= 1e-13 * np.max(np.abs(round_trip))
 
     def test_same_sign_concentration_not_extremal(self, corpus):
@@ -252,9 +253,8 @@ class TestTrilinearNumerator:
         g, b = CORPUS_GRID, -0.5 + 2.0 * probes._TRILINEAR_EPS
         coefs = [_coefficients(_band_limit(corpus[j], 4.0).values, g)
                  for j in (i, (i + 7) % 200, (i + 23) % 200)]
-        w1, w2, w3 = probes._windowed_free_samples(
-            (coefs[0], coefs[1], 1j * g.xi * coefs[2]), g, 1024
-        )
+        w1, w2, w3 = (probes._windowed_free_product([c], g, 1024)
+                      for c in (coefs[0], coefs[1], 1j * g.xi * coefs[2]))
         product = w1 * np.conj(w2) * w3
         public = xsb_p_norm(SpaceTimeField(g, 1.0, product), 0.25, b, 4.0)
         assert norms._xsb_p_norm_in_place(product, g, 1.0, 0.25, b, 4.0) == public
@@ -264,6 +264,59 @@ class TestTrilinearNumerator:
         bad[3, 5] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             norms._xsb_p_norm_in_place(bad, CORPUS_GRID, 1.0, 0.25, -0.48, 4.0)
+
+
+def _whole_array_product(coefs, g, n_times, conj=()):
+    """The product as formed before row blocks: every windowed factor whole, then multiplied."""
+    phases = norms._airy_phases(g, 1.0, n_times)
+    eta = norms._window_taper(1.0, n_times)
+    factors = [norms._free_samples(phases, c, g, eta) for c in coefs]
+    for j in conj:
+        np.conj(factors[j], out=factors[j])
+    for w in factors[1:]:
+        np.multiply(factors[0], w, out=factors[0])
+    return factors[0]
+
+
+class TestWindowedFreeProduct:
+    # K = 16 is smaller than one row block
+    @pytest.mark.parametrize("n_times", [16, 256, 1024])
+    def test_cube_pair_product_equals_whole_array_product(self, corpus, n_times):
+        i, m, n = probes._cube_layout(len(corpus), np.random.default_rng(probes.PAIRING_SEED))[0]
+        g = CORPUS_GRID
+        coefs = [_coefficients(probes.unit_cube_project(f, c).values, g)
+                 for f, c in ((corpus[i], m), (corpus[i + 1], n))]
+        blocked = probes._windowed_free_product(coefs, g, n_times)
+        assert np.array_equal(blocked, _whole_array_product(coefs, g, n_times))
+
+    # the product's band must resolve in K snapshots, so each factor is capped
+    # lower on the shorter windows (the family's cap 4 needs K = 1024)
+    @pytest.mark.parametrize("n_times, cap", [(16, 1.0), (256, 2.0), (1024, 4.0)])
+    def test_frozen_triple_product_and_numerator_equal_whole_array(self, corpus, n_times, cap):
+        g, b = CORPUS_GRID, -0.5 + 2.0 * probes._TRILINEAR_EPS
+        coefs = [_coefficients(_band_limit(corpus[j], cap).values, g) for j in (160, 167, 183)]
+        factors = (coefs[0], coefs[1], 1j * g.xi * coefs[2])
+        blocked = probes._windowed_free_product(factors, g, n_times, conj=(1,))
+        whole = _whole_array_product(factors, g, n_times, conj=(1,))
+        assert np.array_equal(blocked, whole)
+        num = norms._xsb_p_norm_in_place(whole, g, 1.0, 0.25, b, 4.0)
+        assert probes._trilinear_ratio(coefs, [1.0] * 3, g, 0.25, 4.0, n_times) == num
+
+    def test_trilinear_ratio_holds_one_and_a_half_products(self, corpus):
+        # with warm caches: the product, the norm's real |st| array and at
+        # most the row blocks; three whole factors held 3.5 (K, M) arrays
+        import tracemalloc
+
+        g, k = CORPUS_GRID, 1024
+        coefs = [_coefficients(_band_limit(corpus[j], 4.0).values, g) for j in (160, 167, 183)]
+        probes._trilinear_ratio(coefs, [1.0] * 3, g, 0.25, 4.0, k)
+        tracemalloc.start()
+        try:
+            probes._trilinear_ratio(coefs, [1.0] * 3, g, 0.25, 4.0, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1.5 * k + probes._PRODUCT_ROWS) * g.points * 16
 
 
 class TestTrilinearFamily:
