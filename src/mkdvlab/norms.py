@@ -18,17 +18,16 @@ Space-time values are diagnostics tied to the fixed time window and its
 cos^2 taper (10% shoulders); they are representative upper bounds, never
 restriction-norm infima.
 
-The X^{s,b} norms of a trajectory take the windowed double transform: its
-(K, M) samples are tapered, transformed along x and then along t, weighted
-and reduced.  For the free (Airy) evolution of a datum u_hat that transform
-factorises, st(tau, xi) = G(tau, xi) u_hat(xi) with
-G = dt FFT_t[eta(t_k) exp(i t_k xi^3)] fixed by (grid, T_w, K).  The probes'
-private ``_free_xsb_norm`` and ``_free_xsb_p_norm`` therefore take u_hat
-itself and reduce |u_hat|^2 against the M-length column table
-H_b(xi) = sum_tau <tau - xi^3>^{2b} |G|^2, built once per (grid, T_w, K, b).
-A trajectory the caller builds and gives up, such as the probes' trilinear
-product, is normed in place by ``_xsb_p_norm_in_place``: the same checks,
-taper, transforms and reduction as ``xsb_p_norm``, with no copy.
+The X^{s,b} norms take the windowed double transform of a (K, M) trajectory
+the caller gives up (the public norms a copy of the samples, the probes'
+trilinear product itself): ``_space_time_coefficients`` checks, tapers and
+transforms it along x and then along t in place.  Free evolutions, and the probes' tapered
+products of them, are sampled by the one builder ``_free_product``.  For the
+free evolution of a datum u_hat the double transform factorises,
+st(tau, xi) = G(tau, xi) u_hat(xi) with G = dt FFT_t[eta(t_k) exp(i t_k xi^3)]
+fixed by (grid, T_w, K).  The probes' private ``_free_xsb_norm`` and
+``_free_xsb_p_norm`` therefore reduce |u_hat|^2 against the M-length column
+table H_b(xi) = sum_tau <tau - xi^3>^{2b} |G|^2, one per (grid, T_w, K, b).
 """
 
 from __future__ import annotations
@@ -72,6 +71,9 @@ TAIL_TOL = 1e-10
 #: bytes each table cache keeps (the probe corpus needs 5 MiB of phases and
 #: 2 MiB of weights); a larger table is rebuilt on every call
 _TABLE_CACHE_BYTES = 8 * 2**20
+
+#: rows per block of the free-evolution products: 16 to 128 rows time alike
+_PRODUCT_ROWS = 64
 
 
 def _lp(values: np.ndarray, p: float) -> float:
@@ -187,13 +189,13 @@ def _window_taper(t_window: float, k: int) -> np.ndarray:
 
 
 def _check_trajectory(g: GridSpec, t_window: float, samples: np.ndarray) -> None:
-    """Refuse (K, M) samples over [0, T_w) unless K is a power of two, T_w > 0, all finite."""
+    """Refuse (K, M) samples over [0, T_w) unless K is a power of two, 0 < T_w < inf, all finite."""
     if samples.ndim != 2 or samples.shape[1] != g.points:
         raise ValueError(f"samples must be (K, {g.points}), got {samples.shape}")
     if not _is_pow2(samples.shape[0]):
         raise ValueError(f"snapshot count must be a power of two, got {samples.shape[0]}")
-    if not t_window > 0:
-        raise ValueError("time window must be positive")
+    if not 0 < t_window < math.inf:  # written so that nan is refused too
+        raise ValueError(f"time window must be positive and finite, got {t_window}")
     if not np.all(np.isfinite(samples)):
         raise ValueError("space-time samples contain non-finite values")
 
@@ -231,9 +233,6 @@ class SpaceTimeField:
     @property
     def cutoff(self) -> np.ndarray:
         return _window_taper(self.t_window, self.n_times)
-
-    def windowed_samples(self) -> np.ndarray:
-        return self.cutoff[:, None] * self.samples
 
     def field_at(self, index: int) -> Field:
         return Field(self.grid, self.samples[index])
@@ -273,27 +272,46 @@ def _airy_phases(g: GridSpec, t_window: float, n_times: int) -> np.ndarray:
     return phases
 
 
-def _free_samples(phases: np.ndarray, coef: np.ndarray, g: GridSpec, scale) -> np.ndarray:
-    """``scale`` times the free evolution of u_hat = ``coef`` (``phases``: :func:`_airy_phases`).
+def _free_product(coefs, g: GridSpec, t_window: float, eta: np.ndarray, conj=()) -> np.ndarray:
+    """eta(t_k) times the free evolutions of the u_hat in ``coefs``, multiplied pointwise in order.
 
-    This is ``scale * _samples(phases * coef)`` with one (K, M) allocation,
-    the phase product, and no pass besides the inverse transform: the
-    transform phase (-1)^k is folded into the M-length u_hat (a sign flip,
-    exact), and the inverse's 1/(M dx) = 1/L rides with ``scale`` on the
-    kernel factor.  ``scale`` is a number, or a (K,) array that scales row k.
-    For ``scale = 1`` the result is the longhand's bit for bit at every L
-    (numpy divides by dx as a multiply by 1/dx = M/L); for an array it is
-    when L is a power of two, and within two roundings otherwise.
+    K = ``eta.size`` snapshots over [0, T_w); factor j enters conjugated when
+    j is in ``conj``.  Only the (K, M) result is full size: per block of
+    _PRODUCT_ROWS rows and per factor it takes the phase product with
+    (-1)^k u_hat (the transform phase, an exact sign flip), an in-place
+    inverse transform whose per-row kernel factor eta(t_k)/L carries the
+    inverse's 1/(M dx), the conjugate, and the product into the result's
+    rows.  Every step is row-local, so the bits are the whole-array
+    product's.  At eta = 1 one factor is the longhand free evolution bit for
+    bit (numpy divides by dx as a multiply by M/L); under a taper it is eta
+    times the longhand bit for bit when L is a power of two, within two
+    roundings otherwise.
     """
-    w = np.multiply(phases, g._phase() * coef)
-    return _ifft_kernel(w, np.divide(scale, g.length), out=w)
+    k = eta.size
+    phases = _airy_phases(g, t_window, k)
+    fct = np.divide(eta, g.length)
+    signed = [g._phase() * c for c in coefs]
+    out = np.empty((k, g.points), dtype=complex)
+    block = np.empty((min(_PRODUCT_ROWS, k), g.points), dtype=complex)
+    for lo in range(0, k, _PRODUCT_ROWS):
+        rows = slice(lo, lo + _PRODUCT_ROWS)
+        head = out[rows]
+        for j, c in enumerate(signed):
+            w = head if j == 0 else block[: head.shape[0]]
+            np.multiply(phases[rows], c, out=w)
+            _ifft_kernel(w, fct[rows], out=w)
+            if j in conj:
+                np.conj(w, out=w)
+            if j > 0:
+                np.multiply(head, w, out=head)
+    return out
 
 
 def free_evolution(f: Field, t_window: float, n_times: int) -> SpaceTimeField:
     """Trajectory of the free (Airy) flow sampled over [0, T_w)."""
     g = f.grid
-    phases = _airy_phases(g, t_window, n_times)
-    return SpaceTimeField(g, t_window, _free_samples(phases, _coefficients(f.values, g), g, 1.0))
+    samples = _free_product((_coefficients(f.values, g),), g, t_window, np.ones(n_times))
+    return SpaceTimeField(g, t_window, samples)
 
 
 def _check_dispersion_resolved(g: GridSpec, t_window: float, k: int, col_peak: np.ndarray) -> None:
@@ -317,28 +335,23 @@ def _check_dispersion_resolved(g: GridSpec, t_window: float, k: int, col_peak: n
             )
 
 
-def _space_time_transform(buf: np.ndarray, g: GridSpec, t_window: float) -> np.ndarray:
-    """Double transform of the tapered (K, M) samples ``buf``, written over it.
+def _space_time_coefficients(buf: np.ndarray, g: GridSpec, t_window: float) -> np.ndarray:
+    """Windowed double transform of the trajectory ``buf`` over [0, T_w), written over it.
 
-    The (K, M) coefficients on the (tau, xi) lattice: the spatial transform,
-    the time FFT and the dt scaling all run in place.  Between the two
+    ``buf`` is a (K, M) complex128 array the caller gives up.  It gets
+    :class:`SpaceTimeField`'s checks, then the taper, the spatial transform,
+    the time FFT and the dt scaling, all in place: the result is ``buf``,
+    holding the coefficients on the (tau, xi) lattice.  Between the two
     transforms it checks that the temporal band resolves the xi^3 dispersion
     of the occupied spatial band, and reports the snapshot count that would.
     """
+    _check_trajectory(g, t_window, buf)
     k = buf.shape[0]
+    np.multiply(_window_taper(t_window, k)[:, None], buf, out=buf)
     spatial = _coefficients_in_place(buf, g)
     _check_dispersion_resolved(g, t_window, k, np.max(np.abs(spatial), axis=0))
     np.fft.fft(spatial, axis=0, out=spatial)
     return np.multiply(t_window / k, spatial, out=spatial)
-
-
-def _space_time_coefficients(u: SpaceTimeField) -> np.ndarray:
-    """Windowed double transform of ``u``: :func:`_space_time_transform` of its windowed samples.
-
-    The windowed samples are the one (K, M) array it allocates; ``u`` is
-    only read.
-    """
-    return _space_time_transform(u.windowed_samples(), u.grid, u.t_window)
 
 
 def _weight(g: GridSpec, t_window: float, k: int, b: float) -> np.ndarray:
@@ -399,7 +412,7 @@ def _cube_lp(col: np.ndarray, e: int, g: GridSpec, t_window: float, s: float, p:
 
 def xsb_norm(u: SpaceTimeField, s: float, b: float) -> float:
     """X^{s,b} norm: <xi>^s <tau - xi^3>^b weighted space-time L^2."""
-    st = _space_time_coefficients(u)
+    st = _space_time_coefficients(np.array(u.samples), u.grid, u.t_window)
     w_xi = _jap(u.grid.xi) ** (2.0 * s)
     w_tau = _modulation_weight(u.grid, u.t_window, u.n_times, b)
     a2, e = _scaled_squares(st)
@@ -415,31 +428,17 @@ def xsb_p_norm(u: SpaceTimeField, s: float, b: float, p: float) -> float:
     weighted by <n>^s and aggregated in l^p_n.  At p = 2 this agrees with
     :func:`xsb_norm` up to the <n>-vs-<xi> weight equivalence on each cube.
     """
-    return _xsb_p_reduce(_space_time_coefficients(u), u.grid, u.t_window, s, b, p)
-
-
-def _xsb_p_reduce(
-    st: np.ndarray, g: GridSpec, t_window: float, s: float, b: float, p: float
-) -> float:
-    """:func:`xsb_p_norm` from the (K, M) double-transform coefficients ``st``."""
-    w_tau = _modulation_weight(g, t_window, st.shape[0], b)
-    a2, e = _scaled_squares(st)
-    return _cube_lp(np.sum(np.multiply(w_tau, a2, out=a2), axis=0), e, g, t_window, s, p)
+    return _xsb_p_norm_in_place(np.array(u.samples), u.grid, u.t_window, s, b, p)
 
 
 def _xsb_p_norm_in_place(
     samples: np.ndarray, g: GridSpec, t_window: float, s: float, b: float, p: float
 ) -> float:
-    """:func:`xsb_p_norm` of the trajectory ``samples`` over [0, T_w), written over them.
-
-    ``samples`` is a (K, M) complex128 array the caller gives up.  It gets
-    :class:`SpaceTimeField`'s checks, then the taper and the double transform
-    in place, so no trajectory or windowed copy is made; the bits are those of
-    ``xsb_p_norm(SpaceTimeField(g, t_window, samples), s, b, p)``.
-    """
-    _check_trajectory(g, t_window, samples)
-    np.multiply(_window_taper(t_window, samples.shape[0])[:, None], samples, out=samples)
-    return _xsb_p_reduce(_space_time_transform(samples, g, t_window), g, t_window, s, b, p)
+    """:func:`xsb_p_norm` of the (K, M) trajectory ``samples`` over [0, T_w), written over them."""
+    st = _space_time_coefficients(samples, g, t_window)
+    w_tau = _modulation_weight(g, t_window, st.shape[0], b)
+    a2, e = _scaled_squares(st)
+    return _cube_lp(np.sum(np.multiply(w_tau, a2, out=a2), axis=0), e, g, t_window, s, p)
 
 
 def _free_xsb_norm(

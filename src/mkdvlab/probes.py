@@ -28,7 +28,7 @@ import numpy as np
 
 from .io import ConfigError
 from .norms import (
-    _airy_phases,
+    _free_product,
     _free_xsb_norm,
     _free_xsb_p_norm,
     _lp,
@@ -44,11 +44,11 @@ from .spectral import (
     GridSpec,
     SpectralField,
     _coefficients,
-    _ifft_kernel,
     _scaled_squares,
     fourier_multiplier,
     inverse_transform,
     littlewood_paley,
+    require_same_grid,
     unit_cube_project,
 )
 
@@ -85,8 +85,6 @@ CALIBRATION_HEADROOM = 1.01
 _TRILINEAR_EPS = 0.01
 #: snapshots of the trilinear window: its cubic product needs more than CORPUS_N_TIMES
 _TRILINEAR_N_TIMES = 1024
-#: rows per block of the free-evolution products: 16 to 128 rows time alike
-_PRODUCT_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -144,44 +142,13 @@ def _st_l2(samples: np.ndarray, grid: GridSpec, dt: float) -> float:
     return math.ldexp(float(np.sqrt(np.sum(a2) * grid.dx * dt)), e)
 
 
-def _windowed_free_product(coefs, g: GridSpec, n_times: int, conj=()) -> np.ndarray:
-    """eta(t_k) times the free evolution of each u_hat in ``coefs``, multiplied pointwise in order.
-
-    Factor j enters conjugated when j is in ``conj``; one factor comes back
-    as itself.  Only the (K, M) result is full size: per block of
-    _PRODUCT_ROWS rows and per factor it takes the phase product with
-    (-1)^k u_hat, an in-place inverse transform with the per-row kernel
-    factor eta(t_k)/L (as ``norms._free_samples``), the conjugate, and the
-    product into the result's rows.  Every step is row-local, so the bits
-    are those of the whole-array product.  At L a power of two (the corpus
-    has L = 64) one factor of u_hat = ``_coefficients(f.values, g)`` is bit
-    for bit ``free_evolution(f, CORPUS_T_WINDOW, n_times).windowed_samples()``;
-    at other L they agree to roundoff.
-    """
-    phases = _airy_phases(g, CORPUS_T_WINDOW, n_times)
-    fct = np.divide(_window_taper(CORPUS_T_WINDOW, n_times), g.length)
-    signed = [g._phase() * c for c in coefs]
-    out = np.empty((n_times, g.points), dtype=complex)
-    block = np.empty((min(_PRODUCT_ROWS, n_times), g.points), dtype=complex)
-    for lo in range(0, n_times, _PRODUCT_ROWS):
-        rows = slice(lo, lo + _PRODUCT_ROWS)
-        head = out[rows]
-        for j, c in enumerate(signed):
-            w = head if j == 0 else block[: head.shape[0]]
-            np.multiply(phases[rows], c, out=w)
-            _ifft_kernel(w, fct[rows], out=w)
-            if j in conj:
-                np.conj(w, out=w)
-            if j > 0:
-                np.multiply(head, w, out=head)
-    return out
-
-
 def _bilinear_ratio(pu: Field, pv: Field, eps: float, divisor: float) -> float:
     """||U V||_{L^2_{x,t}} of the free evolutions against X^{0,1/2+eps} norms / divisor."""
+    require_same_grid(pu, pv)
     g, k = pu.grid, CORPUS_N_TIMES
     cu, cv = _coefficients(pu.values, g), _coefficients(pv.values, g)
-    num = _st_l2(_windowed_free_product((cu, cv), g, k), g, CORPUS_T_WINDOW / k)
+    product = _free_product((cu, cv), g, CORPUS_T_WINDOW, _window_taper(CORPUS_T_WINDOW, k))
+    num = _st_l2(product, g, CORPUS_T_WINDOW / k)
     du, dv = (_free_xsb_norm(c, g, CORPUS_T_WINDOW, k, 0.0, 0.5 + eps) for c in (cu, cv))
     den = du * dv / divisor
     return 0.0 if den == 0.0 else num / den
@@ -220,6 +187,8 @@ def trilinear_ratio(
     on top, a fixed convention absorbed by the calibration constants.
     """
     out_of_range = not (s >= 0.25 and 2.0 <= p < math.inf)
+    require_same_grid(u1, u2)
+    require_same_grid(u1, u3)
     g = u1.grid
     coefs = [_coefficients(u.values, g) for u in (u1, u2, u3)]
     # a generator, so the factors are normed after the numerator has checked n_times
@@ -234,9 +203,9 @@ def _trilinear_den(coef: np.ndarray, g: GridSpec, s: float, p: float, n_times: i
 
 def _trilinear_ratio(coefs, dens, g: GridSpec, s: float, p: float, n_times: int) -> float:
     """Body of :func:`trilinear_ratio`: u_hat = ``coefs``, their norms ``dens`` reduced last."""
-    product = _windowed_free_product(
-        (coefs[0], coefs[1], 1j * g.xi * coefs[2]), g, n_times, conj=(1,)
-    )
+    factors = (coefs[0], coefs[1], 1j * g.xi * coefs[2])
+    eta = _window_taper(CORPUS_T_WINDOW, n_times)
+    product = _free_product(factors, g, CORPUS_T_WINDOW, eta, conj=(1,))
     # the product is given up to the norm, which tapers and transforms it in place
     num = _xsb_p_norm_in_place(product, g, CORPUS_T_WINDOW, s, -0.5 + 2.0 * _TRILINEAR_EPS, p)
     den = math.prod(dens)

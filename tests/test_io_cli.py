@@ -142,6 +142,13 @@ class TestSnapshots:
         with pytest.raises(SnapshotError, match=f"bad.bin: .*{message}"):
             read_trajectory(path)
 
+    def test_infinite_trajectory_window_names_file(self, tmp_path):
+        path = tmp_path / "inf.bin"
+        header = struct.pack("<dqqdbd", 64.0, 128, 2, 1e-3, 1, float("inf"))
+        path.write_bytes(b"MKDVTRJ1" + header + bytes(16 * 2 * 128))
+        with pytest.raises(SnapshotError, match="inf.bin: time window must be positive and finite"):
+            read_trajectory(path)
+
     def test_short_sample_block_rejected(self, tmp_path):
         grid = GridSpec(length=64.0, points=128)
         path = tmp_path / "f.bin"

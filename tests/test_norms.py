@@ -218,6 +218,14 @@ class TestSpaceTimeField:
         with pytest.raises(ValueError, match="power of two"):
             SpaceTimeField(st_grid, 1.0, np.zeros((12, st_grid.points), dtype=complex))
 
+    @pytest.mark.parametrize("t_window", [INF, math.nan, 0.0, -1.0])
+    def test_rejects_a_window_that_is_not_positive_and_finite(self, st_grid, t_window):
+        ones = np.ones((16, st_grid.points), dtype=complex)
+        with pytest.raises(ValueError, match="positive and finite"):
+            SpaceTimeField(st_grid, t_window, ones)
+        with pytest.raises(ValueError, match="positive and finite"):
+            norms._xsb_p_norm_in_place(ones.copy(), st_grid, t_window, 0.25, 0.51, 4.0)
+
     def test_cutoff_shape(self, st_grid):
         u = SpaceTimeField(st_grid, 1.0, np.zeros((64, st_grid.points), dtype=complex))
         eta = u.cutoff
@@ -400,7 +408,7 @@ def uncached_weight(u, b):
 
 
 def xsb_norm_uncached(u, s, b):
-    st = norms._space_time_coefficients(u)
+    st = norms._space_time_coefficients(np.array(u.samples), u.grid, u.t_window)
     w_xi = norms._jap(u.grid.xi) ** (2.0 * s)
     a2, e = norms._scaled_squares(st)
     total = np.sum(np.multiply(w_xi[None, :] * uncached_weight(u, b), a2, out=a2))
@@ -409,7 +417,7 @@ def xsb_norm_uncached(u, s, b):
 
 
 def xsb_p_norm_uncached(u, s, b, p):
-    st = norms._space_time_coefficients(u)
+    st = norms._space_time_coefficients(np.array(u.samples), u.grid, u.t_window)
     a2, e = norms._scaled_squares(st)
     col = np.sum(np.multiply(uncached_weight(u, b), a2, out=a2), axis=0)
     return cube_lp_uncached(u, col, e, s, p)
@@ -487,7 +495,7 @@ class TestInPlacePipeline:
         band = samples_longhand(np.where(np.abs(g.xi) <= 2.0, coef, 0.0), g)
         u = SpaceTimeField(g, 1.0, band)
         kept = u.samples.copy()
-        st = norms._space_time_coefficients(u)
+        st = norms._space_time_coefficients(np.array(u.samples), g, 1.0)
         assert np.array_equal(u.samples, kept)
         assert np.array_equal(st, space_time_coefficients_longhand(u))
 
@@ -584,8 +592,7 @@ class TestCachedTables:
                 builds.append(key)
             return cache(*key)
 
-        for module in (norms, probes):
-            monkeypatch.setattr(module, "_airy_phases", counting)
+        monkeypatch.setattr(norms, "_airy_phases", counting)
         grid = GridSpec(length=128.0, points=1024)
         u = probes._band_limit(soliton_field(SolitonParams(carrier=2.0, scale=0.5), 0.0, grid), 4.0)
         norms._column_table.tables.clear()

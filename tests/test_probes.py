@@ -27,7 +27,14 @@ from mkdvlab.probes import (
 )
 from mkdvlab.solitons import SolitonParams, soliton_field
 from mkdvlab.solver import SolverConfig
-from mkdvlab.spectral import Field, GridSpec, _coefficients, _samples
+from mkdvlab.spectral import (
+    Field,
+    GridMismatchError,
+    GridSpec,
+    _coefficients,
+    _ifft_kernel,
+    _samples,
+)
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +73,20 @@ class TestBilinearRatios:
     def test_lp_separation_enforced(self, corpus):
         with pytest.raises(ValueError, match="N1 >= 4"):
             bilinear_ratio_lp(corpus[0], corpus[1], 4.0, 2.0)
+
+    # the same values on a grid of another length, or on twice the points
+    @pytest.mark.parametrize("length, points", [(128.0, 256), (64.0, 512)])
+    def test_fields_on_different_grids_refused(self, corpus, length, points):
+        other = Field(GridSpec(length=length, points=points), np.resize(corpus[1].values, points))
+        u = _band_limit(corpus[0], 4.0)
+        with pytest.raises(GridMismatchError):
+            bilinear_ratio_cube(corpus[0], other, 3, -1)
+        with pytest.raises(GridMismatchError):
+            bilinear_ratio_lp(corpus[0], other, 8.0, 2.0)
+        with pytest.raises(GridMismatchError):
+            trilinear_ratio(u, other, u, 0.25, 4.0)
+        with pytest.raises(GridMismatchError):
+            trilinear_ratio(u, u, other, 0.25, 4.0)
 
     def test_anisotropy_pair_below_common_bound(self, corpus):
         cal = load_calibration()["constants"]["bilinear_cube"]
@@ -192,9 +213,11 @@ class TestTrilinear:
     def test_factor_samples_from_u_hat_equal_windowed_free_evolution(self, corpus, n_times):
         fields = [_band_limit(corpus[i], 4.0) for i in (0, 1)] + [corpus[2]]
         coefs = [_coefficients(f.values, f.grid) for f in fields]
-        built = [probes._windowed_free_product([c], CORPUS_GRID, n_times) for c in coefs]
+        eta = norms._window_taper(1.0, n_times)
+        built = [norms._free_product([c], CORPUS_GRID, 1.0, eta) for c in coefs]
         for f, w in zip(fields, built):
-            assert np.array_equal(w, free_evolution(f, 1.0, n_times).windowed_samples())
+            u = free_evolution(f, 1.0, n_times)
+            assert np.array_equal(w, u.cutoff[:, None] * u.samples)
 
     # eta(t_k)/L is rounded when L is not a power of two; the longhand rounds at
     # 1/dx and at eta, so each side rounds twice (measured: at most 1.7 eps
@@ -207,7 +230,8 @@ class TestTrilinear:
         t = (1.0 / n_times) * np.arange(n_times)
         phases = np.exp(1j * np.outer(t, g.xi**3))
         eta = cos2_taper(t, 1.0)[:, None]
-        built = [probes._windowed_free_product([c], g, n_times) for c in coefs]
+        built = [norms._free_product([c], g, 1.0, norms._window_taper(1.0, n_times))
+                 for c in coefs]
         for coef, w in zip(coefs, built):
             longhand = eta * (np.fft.ifft(g._phase() * (phases * coef), axis=1) / g.dx)
             assert np.all(np.abs(w - longhand) <= 2.0 * np.finfo(float).eps * np.abs(longhand))
@@ -223,7 +247,7 @@ class TestTrilinear:
                 1j * g.xi * _coefficients(traj.samples, g), g
             )
             coef = 1j * g.xi * _coefficients(f.values, g)
-            direct = probes._windowed_free_product([coef], g, 1024)
+            direct = norms._free_product([coef], g, 1.0, norms._window_taper(1.0, 1024))
             assert np.max(np.abs(direct - round_trip)) <= 1e-13 * np.max(np.abs(round_trip))
 
     def test_same_sign_concentration_not_extremal(self, corpus):
@@ -253,7 +277,7 @@ class TestTrilinearNumerator:
         g, b = CORPUS_GRID, -0.5 + 2.0 * probes._TRILINEAR_EPS
         coefs = [_coefficients(_band_limit(corpus[j], 4.0).values, g)
                  for j in (i, (i + 7) % 200, (i + 23) % 200)]
-        w1, w2, w3 = (probes._windowed_free_product([c], g, 1024)
+        w1, w2, w3 = (norms._free_product([c], g, 1.0, norms._window_taper(1.0, 1024))
                       for c in (coefs[0], coefs[1], 1j * g.xi * coefs[2]))
         product = w1 * np.conj(w2) * w3
         public = xsb_p_norm(SpaceTimeField(g, 1.0, product), 0.25, b, 4.0)
@@ -270,7 +294,10 @@ def _whole_array_product(coefs, g, n_times, conj=()):
     """The product as formed before row blocks: every windowed factor whole, then multiplied."""
     phases = norms._airy_phases(g, 1.0, n_times)
     eta = norms._window_taper(1.0, n_times)
-    factors = [norms._free_samples(phases, c, g, eta) for c in coefs]
+    factors = []
+    for c in coefs:
+        w = phases * (g._phase() * c)
+        factors.append(_ifft_kernel(w, eta / g.length, out=w))
     for j in conj:
         np.conj(factors[j], out=factors[j])
     for w in factors[1:]:
@@ -286,7 +313,7 @@ class TestWindowedFreeProduct:
         g = CORPUS_GRID
         coefs = [_coefficients(probes.unit_cube_project(f, c).values, g)
                  for f, c in ((corpus[i], m), (corpus[i + 1], n))]
-        blocked = probes._windowed_free_product(coefs, g, n_times)
+        blocked = norms._free_product(coefs, g, 1.0, norms._window_taper(1.0, n_times))
         assert np.array_equal(blocked, _whole_array_product(coefs, g, n_times))
 
     # the product's band must resolve in K snapshots, so each factor is capped
@@ -296,7 +323,8 @@ class TestWindowedFreeProduct:
         g, b = CORPUS_GRID, -0.5 + 2.0 * probes._TRILINEAR_EPS
         coefs = [_coefficients(_band_limit(corpus[j], cap).values, g) for j in (160, 167, 183)]
         factors = (coefs[0], coefs[1], 1j * g.xi * coefs[2])
-        blocked = probes._windowed_free_product(factors, g, n_times, conj=(1,))
+        eta = norms._window_taper(1.0, n_times)
+        blocked = norms._free_product(factors, g, 1.0, eta, conj=(1,))
         whole = _whole_array_product(factors, g, n_times, conj=(1,))
         assert np.array_equal(blocked, whole)
         num = norms._xsb_p_norm_in_place(whole, g, 1.0, 0.25, b, 4.0)
@@ -316,7 +344,7 @@ class TestWindowedFreeProduct:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (1.5 * k + probes._PRODUCT_ROWS) * g.points * 16
+        assert peak <= (1.5 * k + norms._PRODUCT_ROWS) * g.points * 16
 
 
 class TestTrilinearFamily:

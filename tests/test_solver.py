@@ -355,7 +355,7 @@ class TestWorkspaceMatchesReference:
 
 # ---------------------------------------------------------------------------
 # numpy's private pocketfft kernels, which the workspace and
-# norms._free_samples call directly
+# norms._free_product call directly
 # ---------------------------------------------------------------------------
 
 class TestNumpyPrivatePocketfftKernels:
@@ -378,14 +378,14 @@ class TestNumpyPrivatePocketfftKernels:
 
     @pytest.mark.parametrize("k", [256, 1024])
     def test_per_row_factor_bit_equal_scaled_np_fft(self, k):
-        # the factor eta(t_k)/L of norms._free_samples, one per row of a
+        # the factor eta(t_k)/L of norms._free_product, one per row of a
         # (K, M) stack; with M = 256 and L = 64, 1/M and 1/dx are exact
         g = GridSpec(length=64.0, points=256)
         rng = np.random.default_rng(k)
         stack = rng.standard_normal((k, 256)) + 1j * rng.standard_normal((k, 256))
         eta = cos2_taper((1.0 / k) * np.arange(k), 1.0)
         expected = np.fft.ifft(stack, axis=-1) / g.dx * eta[:, None]
-        _ifft_kernel(stack, eta / g.length, out=stack)  # in place, as norms._free_samples does
+        _ifft_kernel(stack, eta / g.length, out=stack)  # in place, as norms._free_product does
         assert np.array_equal(stack, expected)
 
     @pytest.mark.parametrize("pad", [384, 576, 768, 1500, 6144])
