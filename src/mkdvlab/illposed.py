@@ -9,8 +9,9 @@ neg-s (-1/p < s < 0).  It measures, in M^{2,p}_s: the solution norms
 the spectral remainder outside |xi - N| < N^theta.  Evolution is analytic
 (the solitons are exact solutions); the PDE solver is an optional
 cross-check on the smallest carrier.  All norms are produced by the
-grid-free quadrature oracle and, when grid sizing is feasible, re-produced
-by the grid pipeline and required to agree.
+grid-free quadrature oracle and, at every sweep point, re-produced by the
+grid pipeline and required to agree; a pair whose grid would exceed
+2^MAX_POINTS_LOG2 points is refused with a ResolutionError naming the cap.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ DIFF_FLOOR = 0.3
 AGREEMENT_TOL = 1e-4
 #: fewest sweep points (carriers) the exponent fit accepts
 MIN_FIT_RECORDS = 4
+#: plan_grid refuses a grid of more than 2^MAX_POINTS_LOG2 points
+MAX_POINTS_LOG2 = 23
 
 
 def _default_theta(s: float, p: float) -> float:
@@ -187,7 +190,6 @@ def plan_grid(
     xi_top: float,
     separation_x: float,
     cube_margin: float,
-    max_points_log2: int = 23,
     for_solver: bool = False,
     xi_bottom: float | None = None,
 ) -> GridSpec:
@@ -218,11 +220,11 @@ def plan_grid(
     xi_need = max(xi_top - xi0, xi0 - xi_bottom) + cube_margin + 24.0 * lam + 2.0
     factor = 2.0 if for_solver else 1.3  # solver needs dealias-band headroom
     points = 2 ** math.ceil(math.log2(length * factor * xi_need / np.pi))
-    if points > 2**max_points_log2:
-        cap = np.pi * 2.0**max_points_log2 / (factor * length)
+    if points > 2**MAX_POINTS_LOG2:
+        cap = np.pi * 2.0**MAX_POINTS_LOG2 / (factor * length)
         raise ResolutionError(
             f"grid sizing infeasible: {points} points needed "
-            f"(cap 2^{max_points_log2}); with this box the feasible carrier "
+            f"(cap 2^{MAX_POINTS_LOG2}); with this box the feasible carrier "
             f"cap, as a distance from the band centre {xi0:.6g}, is about {cap:.3g}"
         )
     return GridSpec(length=length, points=points, offset=offset)

@@ -18,16 +18,17 @@ Space-time values are diagnostics tied to the fixed time window and its
 cos^2 taper (10% shoulders); they are representative upper bounds, never
 restriction-norm infima.
 
-The X^{s,b} norms take the windowed double transform of a (K, M) trajectory
-the caller gives up (the public norms a copy of the samples, the probes'
-trilinear product itself): ``_space_time_coefficients`` checks, tapers and
-transforms it along x and then along t in place.  Free evolutions, and the probes' tapered
-products of them, are sampled by the one builder ``_free_product``.  For the
-free evolution of a datum u_hat the double transform factorises,
-st(tau, xi) = G(tau, xi) u_hat(xi) with G = dt FFT_t[eta(t_k) exp(i t_k xi^3)]
-fixed by (grid, T_w, K).  The probes' private ``_free_xsb_norm`` and
-``_free_xsb_p_norm`` therefore reduce |u_hat|^2 against the M-length column
-table H_b(xi) = sum_tau <tau - xi^3>^{2b} |G|^2, one per (grid, T_w, K, b).
+Every X^{s,b} norm is a source of weighted tau-sums
+sum_tau <tau - xi^3>^{2b} |st(tau, xi)|^2 per xi column, then a reduction of
+them.  ``_tau_sums`` takes the windowed double transform of a (K, M)
+trajectory the caller gives up (the public norms a copy of the samples, the
+probes' trilinear product itself) in place.  For the free evolution of a
+datum u_hat, st = G u_hat with G = dt FFT_t[eta(t_k) exp(i t_k xi^3)] fixed
+by (grid, T_w, K), so ``_free_tau_sums`` reduces |u_hat|^2 against the
+M-length column table H_b(xi) = sum_tau <tau - xi^3>^{2b} |G|^2.  The
+reductions are ``_xi_l2`` (<xi>^s-weighted l^2) and ``_cube_lp``
+(<n>^s-weighted l^p over sharp cubes).  Free evolutions, and the probes'
+tapered products of them, are sampled by the one builder ``_free_product``.
 """
 
 from __future__ import annotations
@@ -392,12 +393,30 @@ def _column_table(g: GridSpec, t_window: float, k: int, b: float) -> np.ndarray:
     return col
 
 
+def _tau_sums(buf: np.ndarray, g: GridSpec, t_window: float, b: float) -> tuple:
+    """(sum_tau <tau - xi^3>^{2b} |st|^2 2^-2e) and e: the weighted tau-sums of ``buf``.
+
+    ``buf`` is a (K, M) array the caller gives up: st is written over it.
+    """
+    st = _space_time_coefficients(buf, g, t_window)
+    w_tau = _modulation_weight(g, t_window, st.shape[0], b)
+    a2, e = _scaled_squares(st)
+    # in place: one more (K, M) temporary would fault in fresh pages per call
+    return np.sum(np.multiply(w_tau, a2, out=a2), axis=0), e
+
+
 def _free_tau_sums(coef: np.ndarray, g: GridSpec, t_window: float, k: int, b: float) -> tuple:
     """(|u_hat|^2 2^-2e) H_b and e: the weighted tau-sums of the free evolution of u_hat."""
     # the taper is 1 at the sample t = T_w / 2, so |u_hat| is each column's peak
     _check_dispersion_resolved(g, t_window, k, np.abs(coef))
     a2, e = _scaled_squares(coef)
     return np.multiply(_column_table(g, t_window, k, b), a2, out=a2), e
+
+
+def _xi_l2(col: np.ndarray, e: int, g: GridSpec, t_window: float, s: float) -> float:
+    """<xi>^s-weighted l^2_xi of the tau-sums ``col`` (scaled by 4^-e): the X^{s,b} norm."""
+    total = np.sum(_jap(g.xi) ** (2.0 * s) * col)
+    return math.ldexp(float(np.sqrt(total * g.dxi * (TWO_PI / t_window)) / TWO_PI), e)
 
 
 def _cube_lp(col: np.ndarray, e: int, g: GridSpec, t_window: float, s: float, p: float) -> float:
@@ -412,13 +431,8 @@ def _cube_lp(col: np.ndarray, e: int, g: GridSpec, t_window: float, s: float, p:
 
 def xsb_norm(u: SpaceTimeField, s: float, b: float) -> float:
     """X^{s,b} norm: <xi>^s <tau - xi^3>^b weighted space-time L^2."""
-    st = _space_time_coefficients(np.array(u.samples), u.grid, u.t_window)
-    w_xi = _jap(u.grid.xi) ** (2.0 * s)
-    w_tau = _modulation_weight(u.grid, u.t_window, u.n_times, b)
-    a2, e = _scaled_squares(st)
-    # in place: one more (K, M) temporary would fault in fresh pages per call
-    total = np.sum(np.multiply(w_xi[None, :] * w_tau, a2, out=a2))
-    return math.ldexp(float(np.sqrt(total * u.grid.dxi * (TWO_PI / u.t_window)) / TWO_PI), e)
+    g, t_window = u.grid, u.t_window
+    return _xi_l2(*_tau_sums(np.array(u.samples), g, t_window, b), g, t_window, s)
 
 
 def xsb_p_norm(u: SpaceTimeField, s: float, b: float, p: float) -> float:
@@ -428,30 +442,5 @@ def xsb_p_norm(u: SpaceTimeField, s: float, b: float, p: float) -> float:
     weighted by <n>^s and aggregated in l^p_n.  At p = 2 this agrees with
     :func:`xsb_norm` up to the <n>-vs-<xi> weight equivalence on each cube.
     """
-    return _xsb_p_norm_in_place(np.array(u.samples), u.grid, u.t_window, s, b, p)
-
-
-def _xsb_p_norm_in_place(
-    samples: np.ndarray, g: GridSpec, t_window: float, s: float, b: float, p: float
-) -> float:
-    """:func:`xsb_p_norm` of the (K, M) trajectory ``samples`` over [0, T_w), written over them."""
-    st = _space_time_coefficients(samples, g, t_window)
-    w_tau = _modulation_weight(g, t_window, st.shape[0], b)
-    a2, e = _scaled_squares(st)
-    return _cube_lp(np.sum(np.multiply(w_tau, a2, out=a2), axis=0), e, g, t_window, s, p)
-
-
-def _free_xsb_norm(
-    coef: np.ndarray, g: GridSpec, t_window: float, k: int, s: float, b: float
-) -> float:
-    """:func:`xsb_norm` of the free evolution of u_hat = ``coef`` over K snapshots, in O(M)."""
-    col, e = _free_tau_sums(coef, g, t_window, k, b)
-    total = np.sum(_jap(g.xi) ** (2.0 * s) * col)
-    return math.ldexp(float(np.sqrt(total * g.dxi * (TWO_PI / t_window)) / TWO_PI), e)
-
-
-def _free_xsb_p_norm(
-    coef: np.ndarray, g: GridSpec, t_window: float, k: int, s: float, b: float, p: float
-) -> float:
-    """:func:`xsb_p_norm` of the free evolution of u_hat = ``coef`` over K snapshots, in O(M)."""
-    return _cube_lp(*_free_tau_sums(coef, g, t_window, k, b), g, t_window, s, p)
+    g, t_window = u.grid, u.t_window
+    return _cube_lp(*_tau_sums(np.array(u.samples), g, t_window, b), g, t_window, s, p)

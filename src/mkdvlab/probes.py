@@ -28,13 +28,14 @@ import numpy as np
 
 from .io import ConfigError
 from .norms import (
+    _cube_lp,
     _free_product,
-    _free_xsb_norm,
-    _free_xsb_p_norm,
+    _free_tau_sums,
     _lp,
     _median,
+    _tau_sums,
     _window_taper,
-    _xsb_p_norm_in_place,
+    _xi_l2,
     modulation_norm,
     sobolev_norm,
 )
@@ -145,11 +146,11 @@ def _st_l2(samples: np.ndarray, grid: GridSpec, dt: float) -> float:
 def _bilinear_ratio(pu: Field, pv: Field, eps: float, divisor: float) -> float:
     """||U V||_{L^2_{x,t}} of the free evolutions against X^{0,1/2+eps} norms / divisor."""
     require_same_grid(pu, pv)
-    g, k = pu.grid, CORPUS_N_TIMES
+    g, k, t_w = pu.grid, CORPUS_N_TIMES, CORPUS_T_WINDOW
     cu, cv = _coefficients(pu.values, g), _coefficients(pv.values, g)
-    product = _free_product((cu, cv), g, CORPUS_T_WINDOW, _window_taper(CORPUS_T_WINDOW, k))
-    num = _st_l2(product, g, CORPUS_T_WINDOW / k)
-    du, dv = (_free_xsb_norm(c, g, CORPUS_T_WINDOW, k, 0.0, 0.5 + eps) for c in (cu, cv))
+    product = _free_product((cu, cv), g, t_w, _window_taper(t_w, k))
+    num = _st_l2(product, g, t_w / k)
+    du, dv = (_xi_l2(*_free_tau_sums(c, g, t_w, k, 0.5 + eps), g, t_w, 0.0) for c in (cu, cv))
     den = du * dv / divisor
     return 0.0 if den == 0.0 else num / den
 
@@ -198,7 +199,8 @@ def trilinear_ratio(
 
 def _trilinear_den(coef: np.ndarray, g: GridSpec, s: float, p: float, n_times: int) -> float:
     """X^{s,1/2+eps}_p norm of the free evolution of u_hat = ``coef``, one trilinear factor."""
-    return _free_xsb_p_norm(coef, g, CORPUS_T_WINDOW, n_times, s, 0.5 + _TRILINEAR_EPS, p)
+    sums = _free_tau_sums(coef, g, CORPUS_T_WINDOW, n_times, 0.5 + _TRILINEAR_EPS)
+    return _cube_lp(*sums, g, CORPUS_T_WINDOW, s, p)
 
 
 def _trilinear_ratio(coefs, dens, g: GridSpec, s: float, p: float, n_times: int) -> float:
@@ -207,7 +209,8 @@ def _trilinear_ratio(coefs, dens, g: GridSpec, s: float, p: float, n_times: int)
     eta = _window_taper(CORPUS_T_WINDOW, n_times)
     product = _free_product(factors, g, CORPUS_T_WINDOW, eta, conj=(1,))
     # the product is given up to the norm, which tapers and transforms it in place
-    num = _xsb_p_norm_in_place(product, g, CORPUS_T_WINDOW, s, -0.5 + 2.0 * _TRILINEAR_EPS, p)
+    sums = _tau_sums(product, g, CORPUS_T_WINDOW, -0.5 + 2.0 * _TRILINEAR_EPS)
+    num = _cube_lp(*sums, g, CORPUS_T_WINDOW, s, p)
     den = math.prod(dens)
     return 0.0 if den == 0.0 else num / den
 
@@ -420,7 +423,8 @@ def _probe_convolution(fields: list[Field]) -> dict:
 def _probe_xsb_free_evolution(fields: list[Field]) -> dict:
     def ratio(f: Field) -> float:
         coef = _coefficients(f.values, f.grid)
-        xsb = _free_xsb_norm(coef, f.grid, CORPUS_T_WINDOW, CORPUS_N_TIMES, 0.25, 0.51)
+        sums = _free_tau_sums(coef, f.grid, CORPUS_T_WINDOW, CORPUS_N_TIMES, 0.51)
+        xsb = _xi_l2(*sums, f.grid, CORPUS_T_WINDOW, 0.25)
         return xsb / sobolev_norm(f, 0.25)
 
     step = max(len(fields) // 20, 1)

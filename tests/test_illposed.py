@@ -132,14 +132,14 @@ class TestPlan:
 class TestPlanGrid:
     def test_caps_infeasible_requests(self):
         with pytest.raises(ResolutionError, match="feasible carrier cap"):
-            plan_grid(0.1, 1e6, 10.0, 4.0, max_points_log2=18)
+            plan_grid(0.1, 1e6, 10.0, 4.0)
 
     def test_resolves_pair(self):
         g = plan_grid(0.5, 16.25, 24.0, 4.0)
         assert g.dxi <= 0.125
         assert g.xi_max > 1.3 * 16.25
 
-    def test_centred_grid_sizes_only_the_pair_band(self):
+    def test_centred_grid_sizes_only_the_pair_band(self, monkeypatch):
         lam, n1, n2, margin = 0.125, 4096.0, 4096.0 + 4096.0**-0.5, 4.0
         separation = 3.0 * (n2**2 - n1**2)
         full = plan_grid(lam, n2, separation, margin)
@@ -150,8 +150,11 @@ class TestPlanGrid:
         reach = margin + 24.0 * lam + 2.0
         lo, hi = g.band
         assert lo < n1 - 1.3 * reach and hi > n2 + 1.3 * reach
+        from mkdvlab import illposed
+
+        monkeypatch.setattr(illposed, "MAX_POINTS_LOG2", 12)
         with pytest.raises(ResolutionError, match="feasible carrier cap"):
-            plan_grid(lam, n2, separation, margin, max_points_log2=12, xi_bottom=n1)
+            plan_grid(lam, n2, separation, margin, xi_bottom=n1)
 
 
 class TestRunPoint:

@@ -224,7 +224,7 @@ class TestSpaceTimeField:
         with pytest.raises(ValueError, match="positive and finite"):
             SpaceTimeField(st_grid, t_window, ones)
         with pytest.raises(ValueError, match="positive and finite"):
-            norms._xsb_p_norm_in_place(ones.copy(), st_grid, t_window, 0.25, 0.51, 4.0)
+            norms._tau_sums(ones.copy(), st_grid, t_window, 0.51)
 
     def test_cutoff_shape(self, st_grid):
         u = SpaceTimeField(st_grid, 1.0, np.zeros((64, st_grid.points), dtype=complex))
@@ -337,8 +337,8 @@ class TestXsb:
         for norm in (
             lambda: xsb_norm(u, 0.0, 0.5),
             lambda: xsb_p_norm(u, 0.0, 0.5, 4.0),
-            lambda: norms._free_xsb_norm(coef, st_grid, 1.0, 16, 0.0, 0.5),
-            lambda: norms._free_xsb_p_norm(coef, st_grid, 1.0, 16, 0.0, 0.5, 4.0),
+            lambda: free_xsb_norm(coef, st_grid, 1.0, 16, 0.0, 0.5),
+            lambda: free_xsb_p_norm(coef, st_grid, 1.0, 16, 0.0, 0.5, 4.0),
         ):
             with pytest.raises(ResolutionError, match="K =") as info:
                 norm()
@@ -356,11 +356,11 @@ class TestFreeEvolutionRoute:
         u = free_evolution(f, 1.0, n_times)
         coef = forward_transform(f).coefficients
         for s, b in self.CASES:
-            assert norms._free_xsb_norm(coef, f.grid, 1.0, n_times, s, b) == pytest.approx(
+            assert free_xsb_norm(coef, f.grid, 1.0, n_times, s, b) == pytest.approx(
                 xsb_norm(u, s, b), rel=1e-12, abs=0.0
             )
             for p in (1.0, 2.0, 4.0, INF):
-                assert norms._free_xsb_p_norm(coef, f.grid, 1.0, n_times, s, b, p) == pytest.approx(
+                assert free_xsb_p_norm(coef, f.grid, 1.0, n_times, s, b, p) == pytest.approx(
                     xsb_p_norm(u, s, b, p), rel=1e-12, abs=0.0
                 )
 
@@ -391,6 +391,17 @@ class TestFreeEvolutionRoute:
         assert np.array_equal(u.samples, free_evolution_samples_uncached(f, 1.0, 256))
 
 
+# the probes' compositions for the norms of a free evolution, from u_hat = coef
+
+
+def free_xsb_norm(coef, g, t_window, n_times, s, b):
+    return norms._xi_l2(*norms._free_tau_sums(coef, g, t_window, n_times, b), g, t_window, s)
+
+
+def free_xsb_p_norm(coef, g, t_window, n_times, s, b, p):
+    return norms._cube_lp(*norms._free_tau_sums(coef, g, t_window, n_times, b), g, t_window, s, p)
+
+
 # test-local copies of the uncached table expressions
 
 
@@ -408,10 +419,12 @@ def uncached_weight(u, b):
 
 
 def xsb_norm_uncached(u, s, b):
+    # tau summed first, then the <xi>^s weight, as the free route does
     st = norms._space_time_coefficients(np.array(u.samples), u.grid, u.t_window)
     w_xi = norms._jap(u.grid.xi) ** (2.0 * s)
     a2, e = norms._scaled_squares(st)
-    total = np.sum(np.multiply(w_xi[None, :] * uncached_weight(u, b), a2, out=a2))
+    col = np.sum(np.multiply(uncached_weight(u, b), a2, out=a2), axis=0)
+    total = np.sum(w_xi * col)
     dtau = TWO_PI / u.t_window
     return math.ldexp(float(np.sqrt(total * u.grid.dxi * dtau) / TWO_PI), e)
 
@@ -499,6 +512,25 @@ class TestInPlacePipeline:
         assert np.array_equal(u.samples, kept)
         assert np.array_equal(st, space_time_coefficients_longhand(u))
 
+    @pytest.mark.parametrize("norm", [
+        lambda u: xsb_norm(u, 0.25, 0.51),
+        lambda u: xsb_p_norm(u, 0.25, 0.51, 4.0),
+    ], ids=["xsb_norm", "xsb_p_norm"])
+    def test_warm_norm_holds_one_and_a_half_trajectories(self, st_corpus, norm):
+        # with warm caches: the samples' copy and its real |st|^2 array; a
+        # (K, M) product of the xi and tau weights would make it 2.0
+        import tracemalloc
+
+        u = free_evolution(st_corpus[0], 1.0, 1024)
+        norm(u)
+        tracemalloc.start()
+        try:
+            norm(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * u.samples.nbytes
+
 
 class TestCachedTables:
     def test_interleaved_windows_grids_and_b_match_uncached(self, st_corpus):
@@ -519,8 +551,8 @@ class TestCachedTables:
             assert xsb_norm(u, 0.25, b) == xsb_norm_uncached(u, 0.25, b)
             assert xsb_p_norm(u, 0.25, b, 4.0) == xsb_p_norm_uncached(u, 0.25, b, 4.0)
             free = (coef, f.grid, 1.0, n_times, 0.25, b)
-            assert norms._free_xsb_norm(*free) == xsb_norm_free_uncached(coef, u, 0.25, b)
-            assert norms._free_xsb_p_norm(*free, 4.0) == xsb_p_norm_free_uncached(
+            assert free_xsb_norm(*free) == xsb_norm_free_uncached(coef, u, 0.25, b)
+            assert free_xsb_p_norm(*free, 4.0) == xsb_p_norm_free_uncached(
                 coef, u, 0.25, b, 4.0
             )
 

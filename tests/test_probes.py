@@ -281,13 +281,13 @@ class TestTrilinearNumerator:
                       for c in (coefs[0], coefs[1], 1j * g.xi * coefs[2]))
         product = w1 * np.conj(w2) * w3
         public = xsb_p_norm(SpaceTimeField(g, 1.0, product), 0.25, b, 4.0)
-        assert norms._xsb_p_norm_in_place(product, g, 1.0, 0.25, b, 4.0) == public
+        assert norms._cube_lp(*norms._tau_sums(product, g, 1.0, b), g, 1.0, 0.25, 4.0) == public
 
     def test_in_place_numerator_refuses_non_finite_samples(self):
         bad = np.ones((16, CORPUS_GRID.points), complex)
         bad[3, 5] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            norms._xsb_p_norm_in_place(bad, CORPUS_GRID, 1.0, 0.25, -0.48, 4.0)
+            norms._tau_sums(bad, CORPUS_GRID, 1.0, -0.48)
 
 
 def _whole_array_product(coefs, g, n_times, conj=()):
@@ -327,7 +327,7 @@ class TestWindowedFreeProduct:
         blocked = norms._free_product(factors, g, 1.0, eta, conj=(1,))
         whole = _whole_array_product(factors, g, n_times, conj=(1,))
         assert np.array_equal(blocked, whole)
-        num = norms._xsb_p_norm_in_place(whole, g, 1.0, 0.25, b, 4.0)
+        num = norms._cube_lp(*norms._tau_sums(whole, g, 1.0, b), g, 1.0, 0.25, 4.0)
         assert probes._trilinear_ratio(coefs, [1.0] * 3, g, 0.25, 4.0, n_times) == num
 
     def test_trilinear_ratio_holds_one_and_a_half_products(self, corpus):
@@ -349,7 +349,7 @@ class TestWindowedFreeProduct:
 
 class TestTrilinearFamily:
     def test_each_field_normed_once_and_ratios_match_public(self, monkeypatch):
-        calls = {"_xsb_p_norm_in_place": [], "_free_xsb_p_norm": []}
+        calls = {"_tau_sums": [], "_free_tau_sums": []}
         pairs = []
         reduce = probes._reduce
 
@@ -374,8 +374,8 @@ class TestTrilinearFamily:
         distinct = {j for triple in triples for j in triple}
         # one numerator per triple, one denominator per distinct corpus field
         assert (len(triples), len(distinct)) == (8, 23)
-        assert len(calls["_xsb_p_norm_in_place"]) == len(triples)
-        assert len(calls["_free_xsb_p_norm"]) == len(distinct)
+        assert len(calls["_tau_sums"]) == len(triples)
+        assert len(calls["_free_tau_sums"]) == len(distinct)
         fields = make_probe_corpus(seed=7, size=40)
         for (ratio, _), triple in zip(pairs, triples):
             trip = [_band_limit(fields[j], 4.0) for j in triple]
