@@ -30,7 +30,7 @@ from .solitons import (
     spectral_support_halfwidth,
     _soliton_modsq,
 )
-from .solver import SolverConfig, evolve
+from .solver import NONLINEAR_COEFFICIENT, SolverConfig, evolve
 from .spectral import Field, GridSpec, ResolutionError
 
 __all__ = [
@@ -234,7 +234,7 @@ def _solver_cross_check(params: SolitonParams, t_final: float, grid: GridSpec) -
     u0 = soliton_field(params, 0.0, grid)
     peak2 = params.scale**2 / 6.0
     band = (2.0 / 3.0) * grid.xi_nyquist
-    dt_cfl = 0.4 / (36.0 * peak2 * band)
+    dt_cfl = 0.4 / (NONLINEAR_COEFFICIENT * peak2 * band)
     # dominant interaction-picture rates: nonlinear rotation 6 lam^2 N,
     # phase detuning 3 N lam^2, profile drift lam^3
     slow_rate = 9.0 * params.carrier * params.scale**2 + 6.0 * params.scale**3

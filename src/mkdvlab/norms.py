@@ -29,6 +29,14 @@ M-length column table H_b(xi) = sum_tau <tau - xi^3>^{2b} |G|^2.  The
 reductions are ``_xi_l2`` (<xi>^s-weighted l^2) and ``_cube_lp``
 (<n>^s-weighted l^p over sharp cubes).  Free evolutions, and the probes'
 tapered products of them, are sampled by the one builder ``_free_product``.
+
+No (K, M) temporary is made beside the one trajectory a tau-sum transforms:
+the tau-sums, the dispersion check and the finiteness check run in blocks of
+``_PRODUCT_ROWS`` rows, H_b in blocks of as many xi columns, and the cached
+(K, M) tables (the phases exp(i t_k xi^3) and the trajectory norms' weight)
+are built in place.  The phase table is kept once per (grid, T_w): for K a
+power of two, a coarser window's phases are a strided view of the finest
+cached table.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ from .spectral import (
     _coefficients_in_place,
     _ifft_kernel,
     _is_pow2,
+    _peak_exponent,
     _scaled_squares,
     cos2_window,
     forward_transform,
@@ -69,11 +78,12 @@ __all__ = [
 #: admissible relative spectral mass outside the window-covered band
 TAIL_TOL = 1e-10
 
-#: bytes each table cache keeps (the probe corpus needs 5 MiB of phases and
+#: bytes each table cache keeps (the probe corpus needs 4 MiB of phases and
 #: 2 MiB of weights); a larger table is rebuilt on every call
 _TABLE_CACHE_BYTES = 8 * 2**20
 
-#: rows per block of the free-evolution products: 16 to 128 rows time alike
+#: rows (xi columns for H_b) per block of the space-time pipeline; 16 to
+#: 128 rows time alike in the free-evolution products
 _PRODUCT_ROWS = 64
 
 
@@ -189,6 +199,11 @@ def _window_taper(t_window: float, k: int) -> np.ndarray:
     return cos2_taper((t_window / k) * np.arange(k), t_window)
 
 
+def _blocks(n: int) -> list[slice]:
+    """Consecutive slices of _PRODUCT_ROWS indices that cover range(n)."""
+    return [slice(lo, lo + _PRODUCT_ROWS) for lo in range(0, n, _PRODUCT_ROWS)]
+
+
 def _check_trajectory(g: GridSpec, t_window: float, samples: np.ndarray) -> None:
     """Refuse (K, M) samples over [0, T_w) unless K is a power of two, 0 < T_w < inf, all finite."""
     if samples.ndim != 2 or samples.shape[1] != g.points:
@@ -197,7 +212,7 @@ def _check_trajectory(g: GridSpec, t_window: float, samples: np.ndarray) -> None
         raise ValueError(f"snapshot count must be a power of two, got {samples.shape[0]}")
     if not 0 < t_window < math.inf:  # written so that nan is refused too
         raise ValueError(f"time window must be positive and finite, got {t_window}")
-    if not np.all(np.isfinite(samples)):
+    if not all(np.isfinite(samples[rows]).all() for rows in _blocks(samples.shape[0])):
         raise ValueError("space-time samples contain non-finite values")
 
 
@@ -239,12 +254,19 @@ class SpaceTimeField:
         return Field(self.grid, self.samples[index])
 
 
+def _pinned_bytes(tables) -> int:
+    """Bytes of the buffers that ``tables`` keep alive, each buffer once: a view pins its base."""
+    bases = (t if t.base is None else t.base for t in tables.values())
+    return sum({id(a): a.nbytes for a in bases}.values())
+
+
 def _table_cache(build):
     """Least-recently-used cache of read-only tables, bounded by bytes.
 
     A new table is kept and the least recently used ones are evicted until
-    the kept ones fit in ``_TABLE_CACHE_BYTES``; a table larger than that is
-    returned but not kept.  ``tables`` holds the kept entries, oldest first.
+    the buffers the kept ones pin fit in ``_TABLE_CACHE_BYTES``; a table
+    larger than that is returned but not kept.  ``tables`` holds the kept
+    entries, oldest first.
     """
     tables = OrderedDict()
 
@@ -256,7 +278,7 @@ def _table_cache(build):
         table = build(*key)
         if table.nbytes <= _TABLE_CACHE_BYTES:
             tables[key] = table
-            while sum(t.nbytes for t in tables.values()) > _TABLE_CACHE_BYTES:
+            while _pinned_bytes(tables) > _TABLE_CACHE_BYTES:
                 tables.popitem(last=False)
         return table
 
@@ -264,13 +286,44 @@ def _table_cache(build):
     return cached
 
 
+def _stride(fine: int, coarse: int) -> int:
+    """r if fine = r coarse with r >= 2 a power of two, else 0."""
+    r, rest = divmod(fine, coarse)
+    return r if rest == 0 and _is_pow2(r) else 0
+
+
 @_table_cache
 def _airy_phases(g: GridSpec, t_window: float, n_times: int) -> np.ndarray:
-    """Read-only (K, M) table exp(i t_k xi^3) of the free flow, one per window."""
-    t = (t_window / n_times) * np.arange(n_times)
-    phases = np.exp(1j * np.outer(t, g.xi**3))
+    """Read-only (K, M) table exp(i t_k xi^3) of the free flow, one buffer per (grid, T_w).
+
+    The window times t_k = (T_w / K) k of K snapshots are, bit for bit, every
+    r-th time of r K snapshots when r is a power of two.  So a coarser table
+    is a strided view of a finer cached one, and a finer build that the cache
+    keeps turns the cached coarser entries into views of itself.
+    """
+    same_window = [key for key in _phase_tables if key[:2] == (g, t_window)]
+    for key in same_window:
+        r = _stride(key[2], n_times)
+        if r:
+            return _phase_tables[key][::r]
+    phases = np.zeros((n_times, g.points), dtype=complex)
+    xi3 = g.xi**3
+    # row by row, like _weight: i t_k xi^3 in the imaginary parts
+    for row, t in zip(phases.imag, (t_window / n_times) * np.arange(n_times)):
+        np.multiply(t, xi3, out=row)
+    np.exp(phases, out=phases)
     phases.setflags(write=False)
+    if phases.nbytes <= _TABLE_CACHE_BYTES:  # only a table the cache keeps may pin views
+        for key in same_window:
+            r = _stride(n_times, key[2])
+            if r:
+                _phase_tables[key] = phases[::r]
     return phases
+
+
+#: the phase cache's entries, read by its builder (through this name, which
+#: stays the cache's own when ``_airy_phases`` is wrapped)
+_phase_tables = _airy_phases.tables
 
 
 def _free_product(coefs, g: GridSpec, t_window: float, eta: np.ndarray, conj=()) -> np.ndarray:
@@ -294,8 +347,7 @@ def _free_product(coefs, g: GridSpec, t_window: float, eta: np.ndarray, conj=())
     signed = [g._phase() * c for c in coefs]
     out = np.empty((k, g.points), dtype=complex)
     block = np.empty((min(_PRODUCT_ROWS, k), g.points), dtype=complex)
-    for lo in range(0, k, _PRODUCT_ROWS):
-        rows = slice(lo, lo + _PRODUCT_ROWS)
+    for rows in _blocks(k):
         head = out[rows]
         for j, c in enumerate(signed):
             w = head if j == 0 else block[: head.shape[0]]
@@ -350,15 +402,30 @@ def _space_time_coefficients(buf: np.ndarray, g: GridSpec, t_window: float) -> n
     k = buf.shape[0]
     np.multiply(_window_taper(t_window, k)[:, None], buf, out=buf)
     spatial = _coefficients_in_place(buf, g)
-    _check_dispersion_resolved(g, t_window, k, np.max(np.abs(spatial), axis=0))
+    col_peak = np.zeros(g.points)
+    for rows in _blocks(k):
+        np.maximum(col_peak, np.max(np.abs(spatial[rows]), axis=0), out=col_peak)
+    _check_dispersion_resolved(g, t_window, k, col_peak)
     np.fft.fft(spatial, axis=0, out=spatial)
     return np.multiply(t_window / k, spatial, out=spatial)
 
 
-def _weight(g: GridSpec, t_window: float, k: int, b: float) -> np.ndarray:
-    """Read-only (K, M) weight <tau - xi^3>^{2b} on the windowed double-transform lattice."""
+def _weight(g: GridSpec, t_window: float, k: int, b: float, cols=slice(None)) -> np.ndarray:
+    """Read-only weight <tau - xi^3>^{2b} on the windowed double-transform lattice.
+
+    (K, M), or (K, n) for the n xi columns ``cols``.  Built in place; ``**=``
+    takes the scalar-power paths that ``**`` takes, so the bits are those of
+    (1 + (tau - xi^3)^2)^b.
+    """
     tau = TWO_PI * np.fft.fftfreq(k, d=t_window / k)
-    w_tau = (1.0 + (tau[:, None] - g.xi[None, :] ** 3) ** 2) ** b
+    xi3 = g.xi[cols] ** 3
+    w_tau = np.empty((k, xi3.size))
+    # row by row: a broadcast ufunc call takes a 64 KiB buffer per broadcast operand
+    for row, t in zip(w_tau, tau):
+        np.subtract(t, xi3, out=row)
+    w_tau **= 2
+    w_tau += 1.0
+    w_tau **= b
     w_tau.setflags(write=False)
     return w_tau
 
@@ -374,21 +441,24 @@ def _column_table(g: GridSpec, t_window: float, k: int, b: float) -> np.ndarray:
     G = dt FFT_t[eta(t_k) exp(i t_k xi^3)] is the windowed double transform
     of the free evolution of u_hat = 1, so the free evolution of any u_hat has
     st = G u_hat and weighted tau-sums |u_hat(xi)|^2 H_b(xi).  Only this
-    M-length table is kept: the (K, M) weight it reduces is built by the
-    uncached ``_weight`` and dropped, since the table is built once per key.
+    M-length table is kept.  It is reduced per block of _PRODUCT_ROWS xi
+    columns, each a (K, n) gain and weight built and dropped; every step is
+    column-local, so the bits are the whole-array reduction's.
     """
     dt = t_window / k
-    gain = _window_taper(t_window, k)[:, None] * _airy_phases(g, t_window, k)
-    np.fft.fft(gain, axis=0, out=gain)
-    np.multiply(dt, gain, out=gain)
-    # |G|^2 = Re^2 + Im^2 is formed in the real parts of the one (K, M)
-    # buffer, and the weight is built after it: in trials, one more (K, M)
-    # temporary, or a weight built into the heap the buffer then takes, raised
-    # probe-corpus peak RSS by 1.5 to 2.6 MiB
-    parts = gain.view(np.float64).reshape(k, g.points, 2)
-    np.square(parts, out=parts)
-    gain2 = np.add(parts[..., 0], parts[..., 1], out=parts[..., 0])
-    col = np.sum(np.multiply(_weight(g, t_window, k, b), gain2, out=gain2), axis=0)
+    eta = _window_taper(t_window, k)[:, None]
+    phases = _airy_phases(g, t_window, k)
+    col = np.empty(g.points)
+    for cols in _blocks(g.points):
+        gain = eta * phases[:, cols]
+        np.fft.fft(gain, axis=0, out=gain)
+        np.multiply(dt, gain, out=gain)
+        # |G|^2 = Re^2 + Im^2, formed in the real parts of the block
+        parts = gain.view(np.float64).reshape(*gain.shape, 2)
+        np.square(parts, out=parts)
+        gain2 = np.add(parts[..., 0], parts[..., 1], out=parts[..., 0])
+        np.multiply(_weight(g, t_window, k, b, cols), gain2, out=gain2)
+        np.sum(gain2, axis=0, out=col[cols])
     col.setflags(write=False)
     return col
 
@@ -397,12 +467,22 @@ def _tau_sums(buf: np.ndarray, g: GridSpec, t_window: float, b: float) -> tuple:
     """(sum_tau <tau - xi^3>^{2b} |st|^2 2^-2e) and e: the weighted tau-sums of ``buf``.
 
     ``buf`` is a (K, M) array the caller gives up: st is written over it.
+    The weighted scaled squares are formed per block of _PRODUCT_ROWS rows,
+    the first row of each taking the sums of the rows before it, so the rows
+    are added in numpy's sequential axis-0 order: the bits are the
+    whole-array sum's, and no (K, M) temporary is made.
     """
     st = _space_time_coefficients(buf, g, t_window)
     w_tau = _modulation_weight(g, t_window, st.shape[0], b)
-    a2, e = _scaled_squares(st)
-    # in place: one more (K, M) temporary would fault in fresh pages per call
-    return np.sum(np.multiply(w_tau, a2, out=a2), axis=0), e
+    blocks = _blocks(st.shape[0])
+    e = _peak_exponent(max(float(np.max(np.abs(st[rows]))) for rows in blocks))
+    col = np.zeros(g.points)  # 0 + x is x for the nonnegative terms
+    for rows in blocks:
+        a2, _ = _scaled_squares(st[rows], e)
+        np.multiply(w_tau[rows], a2, out=a2)
+        np.add(col, a2[0], out=a2[0])
+        col = np.sum(a2, axis=0)
+    return col, e
 
 
 def _free_tau_sums(coef: np.ndarray, g: GridSpec, t_window: float, k: int, b: float) -> tuple:

@@ -45,6 +45,7 @@ from .spectral import (
     GridSpec,
     SpectralField,
     _coefficients,
+    _is_pow2,
     _scaled_squares,
     fourier_multiplier,
     inverse_transform,
@@ -274,6 +275,8 @@ def apriori_tracking(
     """Modulation norm along the nonlinear evolution: (times, norms)."""
     if n_snapshots < 1:
         raise ValueError(f"n_snapshots must be at least 1, got {n_snapshots}")
+    if not _is_pow2(n_snapshots):
+        raise ValueError(f"n_snapshots must be a power of two (>= 2), got {n_snapshots}")
     n_steps = _step_count(t_final, cfg.dt)
     if n_steps % n_snapshots != 0:
         raise ValueError(

@@ -153,6 +153,11 @@ class GridSpec:
         return ph
 
 
+def _peak_exponent(peak: float) -> int:
+    """Binary exponent e of a modulus ``peak`` (peak < 2^e), clamped so that 2^-e stays finite."""
+    return max(math.frexp(peak)[1], -1021)
+
+
 def _scaled_squares(a: np.ndarray, e: int | None = None) -> tuple[np.ndarray, int]:
     """(|a| 2^-e)^2 and e, with e the binary exponent of max|a| unless given.
 
@@ -163,8 +168,7 @@ def _scaled_squares(a: np.ndarray, e: int | None = None) -> tuple[np.ndarray, in
     """
     mod = np.abs(a)
     if e is None:
-        # clamped so that 2^-e stays finite for a subnormal peak
-        e = max(math.frexp(float(np.max(mod)) if mod.size else 0.0)[1], -1021)
+        e = _peak_exponent(float(np.max(mod)) if mod.size else 0.0)
     np.multiply(mod, math.ldexp(1.0, -e), out=mod)
     return np.square(mod, out=mod), e
 

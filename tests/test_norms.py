@@ -1,12 +1,13 @@
 """Tests for the norm engine: H^s, FL^{s,p}, M^{2,p}_s, and X^{s,b}-type norms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mkdvlab import norms
+from mkdvlab import norms, probes
 from mkdvlab.norms import (
     SpaceTimeField,
     cos2_taper,
@@ -37,6 +38,15 @@ INF = math.inf
 
 def spectrum_field(grid, fn):
     return inverse_transform(SpectralField(grid, fn(grid.xi).astype(complex)))
+
+
+def traced_peak(fn):
+    """fn() and the peak of the bytes it holds allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestMedian:
@@ -488,6 +498,18 @@ def space_time_coefficients_longhand(u):
     return u.dt * np.fft.fft(spatial, axis=0)
 
 
+def tau_sums_longhand(u, b):
+    # one whole (K, M) |st|^2 array, weighted and summed over tau at once
+    st = norms._space_time_coefficients(np.array(u.samples), u.grid, u.t_window)
+    a2, e = norms._scaled_squares(st)
+    return np.sum(uncached_weight(u, b) * a2, axis=0), e
+
+
+def phases_longhand(g, t_window, n_times):
+    t = (t_window / n_times) * np.arange(n_times)
+    return np.exp(1j * np.outer(t, g.xi**3))
+
+
 class TestInPlacePipeline:
     # dx = 100 / 512 is not a power of two, so scaling by dx rounds
     @pytest.mark.parametrize("length, points", [(100.0, 512), (64.0, 256)])
@@ -517,8 +539,9 @@ class TestInPlacePipeline:
         lambda u: xsb_p_norm(u, 0.25, 0.51, 4.0),
     ], ids=["xsb_norm", "xsb_p_norm"])
     def test_warm_norm_holds_one_and_a_half_trajectories(self, st_corpus, norm):
-        # with warm caches: the samples' copy and its real |st|^2 array; a
-        # (K, M) product of the xi and tau weights would make it 2.0
+        # with warm caches: the samples' copy and row blocks; a whole real
+        # |st|^2 array beside it would make it 1.5, a (K, M) product of the
+        # xi and tau weights 2.0
         import tracemalloc
 
         u = free_evolution(st_corpus[0], 1.0, 1024)
@@ -530,6 +553,44 @@ class TestInPlacePipeline:
         finally:
             tracemalloc.stop()
         assert peak <= 1.6 * u.samples.nbytes
+
+
+class TestRowBlockTauSums:
+    # the tau-sums are formed per block of _PRODUCT_ROWS rows, each block's
+    # first row carrying the sums of the rows before it
+
+    @staticmethod
+    def assert_matches_whole_array(u, b):
+        col, e = norms._tau_sums(np.array(u.samples), u.grid, u.t_window, b)
+        want, e_want = tau_sums_longhand(u, b)
+        assert e == e_want
+        assert np.array_equal(col, want)
+
+    @pytest.mark.parametrize("i", [0, 160])
+    def test_frozen_corpus_trilinear_products(self, i):
+        # the trilinear family's numerator trajectory of triple i, K = 1024
+        fields, g = probes.make_probe_corpus(), probes.CORPUS_GRID
+        coefs = [_coefficients(probes._band_limit(fields[j], 4.0).values, g)
+                 for j in (i, (i + 7) % 200, (i + 23) % 200)]
+        factors = (coefs[0], coefs[1], 1j * g.xi * coefs[2])
+        product = norms._free_product(factors, g, 1.0, norms._window_taper(1.0, 1024), conj=(1,))
+        self.assert_matches_whole_array(SpaceTimeField(g, 1.0, product), -0.48)
+
+    def test_non_free_trajectory_of_512_rows(self, st_grid, st_corpus):
+        rng = np.random.default_rng(5)
+        samples = np.stack([st_corpus[i % 12].values for i in range(512)])
+        u = SpaceTimeField(st_grid, 0.5, samples * rng.standard_normal((512, 1)))
+        for b in (0.0, 0.51, -0.48):
+            self.assert_matches_whole_array(u, b)
+
+    def test_fewer_rows_than_one_block(self, st_grid):
+        k = 16
+        assert k < norms._PRODUCT_ROWS
+        rng = np.random.default_rng(16)
+        coef = np.where(np.abs(st_grid.xi) <= 2.0, rng.standard_normal(st_grid.points), 0.0)
+        band = samples_longhand(coef, st_grid)
+        u = SpaceTimeField(st_grid, 1.0, band[None, :] * rng.standard_normal((k, 1)))
+        self.assert_matches_whole_array(u, 0.51)
 
 
 class TestCachedTables:
@@ -640,3 +701,47 @@ class TestCachedTables:
             assert table.shape == (256, st_grid.points)
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 0.0
+
+
+class TestPhaseTables:
+    @pytest.mark.parametrize("t_window", [1.0, 0.3])
+    def test_coarser_windows_are_views_of_the_finer_table(self, st_grid, t_window):
+        tables = norms._airy_phases.tables
+        tables.clear()
+        fine = norms._airy_phases(st_grid, t_window, 1024)
+        for k in (256, 512):
+            coarse = norms._airy_phases(st_grid, t_window, k)
+            assert np.shares_memory(coarse, fine)
+            assert np.array_equal(coarse, phases_longhand(st_grid, t_window, k))
+        assert norms._pinned_bytes(tables) == fine.nbytes
+
+    def test_finer_build_turns_cached_coarser_entries_into_views(self, st_grid):
+        tables = norms._airy_phases.tables
+        tables.clear()
+        for k in (256, 512):
+            norms._airy_phases(st_grid, 0.3, k)
+        fine = norms._airy_phases(st_grid, 0.3, 1024)
+        for k in (256, 512):
+            assert np.shares_memory(tables[(st_grid, 0.3, k)], fine)
+            assert np.array_equal(tables[(st_grid, 0.3, k)], phases_longhand(st_grid, 0.3, k))
+        assert norms._pinned_bytes(tables) == fine.nbytes
+
+
+class TestTableMemory:
+    # tracemalloc peaks of the table builds against the table they return
+
+    def test_cold_weight_build_peaks_at_its_table(self):
+        weight, peak = traced_peak(lambda: norms._weight(probes.CORPUS_GRID, 1.0, 1024, -0.48))
+        assert peak <= 1.05 * weight.nbytes
+
+    def test_cold_phase_build_peaks_at_its_table(self):
+        norms._airy_phases.tables.clear()
+        phases, peak = traced_peak(lambda: norms._airy_phases(probes.CORPUS_GRID, 1.0, 1024))
+        assert peak <= 1.05 * phases.nbytes
+
+    def test_coarser_window_after_finer_allocates_no_table(self):
+        g = probes.CORPUS_GRID
+        norms._airy_phases.tables.clear()
+        norms._airy_phases(g, 1.0, 1024)
+        coarse, peak = traced_peak(lambda: norms._airy_phases(g, 1.0, 256))
+        assert peak < coarse.nbytes / 100

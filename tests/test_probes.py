@@ -283,6 +283,21 @@ class TestTrilinearNumerator:
         public = xsb_p_norm(SpaceTimeField(g, 1.0, product), 0.25, b, 4.0)
         assert norms._cube_lp(*norms._tau_sums(product, g, 1.0, b), g, 1.0, 0.25, 4.0) == public
 
+    def test_warm_ratio_holds_little_beyond_the_product(self, corpus):
+        # the product trajectory plus row blocks; a whole real |st|^2 array
+        # beside it would make 1.5 (K, M) complex arrays
+        import tracemalloc
+
+        fields = [_band_limit(corpus[j], 4.0) for j in (160, 167, 183)]
+        trilinear_ratio(*fields, 0.25, 4.0)
+        tracemalloc.start()
+        try:
+            trilinear_ratio(*fields, 0.25, 4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * 1024 * CORPUS_GRID.points * 16
+
     def test_in_place_numerator_refuses_non_finite_samples(self):
         bad = np.ones((16, CORPUS_GRID.points), complex)
         bad[3, 5] = np.nan
@@ -533,6 +548,17 @@ class TestAprioriTracking:
         with pytest.raises(ValueError, match=f"n_snapshots must be at least 1, got {n_snapshots}"):
             apriori_tracking(
                 Field.zero(grid), 0.125, 4.0, 0.04, SolverConfig(dt=1e-3), n_snapshots
+            )
+
+    # 1 and 6 each divide the 12 steps; the solver would name record_every
+    @pytest.mark.parametrize("n_snapshots", [1, 6])
+    def test_rejects_snapshot_count_not_a_power_of_two(self, n_snapshots):
+        grid = GridSpec(length=64.0, points=256)
+        with pytest.raises(
+            ValueError, match=rf"n_snapshots must be a power of two \(>= 2\), got {n_snapshots}"
+        ):
+            apriori_tracking(
+                Field.zero(grid), 0.125, 4.0, 0.012, SolverConfig(dt=1e-3), n_snapshots
             )
 
 
