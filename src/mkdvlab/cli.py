@@ -60,7 +60,7 @@ _SCHEMAS = {
         "initial": (_INITIAL_KIND, _REQUIRED),
         "length": (_NUMBER, _REQUIRED),
         "points": (_INTEGER, _REQUIRED),
-        "t_final": (_NUMBER, _REQUIRED),
+        "t_final": (_POSITIVE, _REQUIRED),
         "dt": (_NUMBER, _REQUIRED),
         "record_every": (_INTEGER, _REQUIRED),
         "sign": (_INTEGER, _UNSET),

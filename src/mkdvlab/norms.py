@@ -32,18 +32,17 @@ tapered products of them, are sampled by the one builder ``_free_product``.
 
 No (K, M) temporary is made beside the one trajectory a tau-sum transforms:
 the tau-sums, the dispersion check and the finiteness check run in blocks of
-``_PRODUCT_ROWS`` rows, H_b in blocks of as many xi columns, and the cached
-(K, M) tables (the phases exp(i t_k xi^3) and the trajectory norms' weight)
-are built in place.  The phase table is kept once per (grid, T_w): for K a
-power of two, a coarser window's phases are a strided view of the finest
-cached table.
+``_PRODUCT_ROWS`` rows, H_b in blocks of as many xi columns, and the (K, M)
+tables (the phases exp(i t_k xi^3) and the trajectory norms' weight) are
+built in place.  Each kind of table (phases, weight, H_b) keeps only the last
+one built, and only if it fits in ``_TABLE_CACHE_BYTES``: the probes ask for
+each table in one unbroken run of requests.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,8 +77,8 @@ __all__ = [
 #: admissible relative spectral mass outside the window-covered band
 TAIL_TOL = 1e-10
 
-#: bytes each table cache keeps (the probe corpus needs 4 MiB of phases and
-#: 2 MiB of weights); a larger table is rebuilt on every call
+#: bytes of the one table each kind keeps (the probe corpus needs a 4 MiB
+#: phase table and a 2 MiB weight); a larger table is rebuilt on every call
 _TABLE_CACHE_BYTES = 8 * 2**20
 
 #: rows (xi columns for H_b) per block of the space-time pipeline; 16 to
@@ -204,14 +203,19 @@ def _blocks(n: int) -> list[slice]:
     return [slice(lo, lo + _PRODUCT_ROWS) for lo in range(0, n, _PRODUCT_ROWS)]
 
 
+def _check_window(t_window: float, k: int) -> None:
+    """Refuse K snapshots over [0, T_w) unless K is a power of two and 0 < T_w < inf."""
+    if not _is_pow2(k):
+        raise ValueError(f"snapshot count must be a power of two, got {k}")
+    if not 0 < t_window < math.inf:  # written so that nan is refused too
+        raise ValueError(f"time window must be positive and finite, got {t_window}")
+
+
 def _check_trajectory(g: GridSpec, t_window: float, samples: np.ndarray) -> None:
     """Refuse (K, M) samples over [0, T_w) unless K is a power of two, 0 < T_w < inf, all finite."""
     if samples.ndim != 2 or samples.shape[1] != g.points:
         raise ValueError(f"samples must be (K, {g.points}), got {samples.shape}")
-    if not _is_pow2(samples.shape[0]):
-        raise ValueError(f"snapshot count must be a power of two, got {samples.shape[0]}")
-    if not 0 < t_window < math.inf:  # written so that nan is refused too
-        raise ValueError(f"time window must be positive and finite, got {t_window}")
+    _check_window(t_window, samples.shape[0])
     if not all(np.isfinite(samples[rows]).all() for rows in _blocks(samples.shape[0])):
         raise ValueError("space-time samples contain non-finite values")
 
@@ -254,58 +258,33 @@ class SpaceTimeField:
         return Field(self.grid, self.samples[index])
 
 
-def _pinned_bytes(tables) -> int:
-    """Bytes of the buffers that ``tables`` keep alive, each buffer once: a view pins its base."""
-    bases = (t if t.base is None else t.base for t in tables.values())
-    return sum({id(a): a.nbytes for a in bases}.values())
+def _last_table(build):
+    """Keep the last read-only table ``build`` returned, if it fits in ``_TABLE_CACHE_BYTES``.
 
-
-def _table_cache(build):
-    """Least-recently-used cache of read-only tables, bounded by bytes.
-
-    A new table is kept and the least recently used ones are evicted until
-    the buffers the kept ones pin fit in ``_TABLE_CACHE_BYTES``; a table
-    larger than that is returned but not kept.  ``tables`` holds the kept
-    entries, oldest first.
+    A repeated key returns the kept table; a new key builds, and its table
+    replaces the kept one.  A table larger than the budget is returned but
+    not kept, and the kept table stays.  ``tables`` holds the kept entry.
     """
-    tables = OrderedDict()
+    tables = {}
 
     @functools.wraps(build)
     def cached(*key):
         if key in tables:
-            tables.move_to_end(key)
             return tables[key]
         table = build(*key)
         if table.nbytes <= _TABLE_CACHE_BYTES:
+            tables.clear()
             tables[key] = table
-            while _pinned_bytes(tables) > _TABLE_CACHE_BYTES:
-                tables.popitem(last=False)
         return table
 
     cached.tables = tables
     return cached
 
 
-def _stride(fine: int, coarse: int) -> int:
-    """r if fine = r coarse with r >= 2 a power of two, else 0."""
-    r, rest = divmod(fine, coarse)
-    return r if rest == 0 and _is_pow2(r) else 0
-
-
-@_table_cache
+@_last_table
 def _airy_phases(g: GridSpec, t_window: float, n_times: int) -> np.ndarray:
-    """Read-only (K, M) table exp(i t_k xi^3) of the free flow, one buffer per (grid, T_w).
-
-    The window times t_k = (T_w / K) k of K snapshots are, bit for bit, every
-    r-th time of r K snapshots when r is a power of two.  So a coarser table
-    is a strided view of a finer cached one, and a finer build that the cache
-    keeps turns the cached coarser entries into views of itself.
-    """
-    same_window = [key for key in _phase_tables if key[:2] == (g, t_window)]
-    for key in same_window:
-        r = _stride(key[2], n_times)
-        if r:
-            return _phase_tables[key][::r]
+    """Read-only (K, M) table exp(i t_k xi^3) of the free flow at the K window times t_k."""
+    _check_window(t_window, n_times)
     phases = np.zeros((n_times, g.points), dtype=complex)
     xi3 = g.xi**3
     # row by row, like _weight: i t_k xi^3 in the imaginary parts
@@ -313,17 +292,7 @@ def _airy_phases(g: GridSpec, t_window: float, n_times: int) -> np.ndarray:
         np.multiply(t, xi3, out=row)
     np.exp(phases, out=phases)
     phases.setflags(write=False)
-    if phases.nbytes <= _TABLE_CACHE_BYTES:  # only a table the cache keeps may pin views
-        for key in same_window:
-            r = _stride(n_times, key[2])
-            if r:
-                _phase_tables[key] = phases[::r]
     return phases
-
-
-#: the phase cache's entries, read by its builder (through this name, which
-#: stays the cache's own when ``_airy_phases`` is wrapped)
-_phase_tables = _airy_phases.tables
 
 
 def _free_product(coefs, g: GridSpec, t_window: float, eta: np.ndarray, conj=()) -> np.ndarray:
@@ -430,11 +399,11 @@ def _weight(g: GridSpec, t_window: float, k: int, b: float, cols=slice(None)) ->
     return w_tau
 
 
-#: the weight of the trajectory norms, kept per (grid, T_w, K, b)
-_modulation_weight = _table_cache(_weight)
+#: the weight of the trajectory norms, the last (grid, T_w, K, b) kept
+_modulation_weight = _last_table(_weight)
 
 
-@_table_cache
+@_last_table
 def _column_table(g: GridSpec, t_window: float, k: int, b: float) -> np.ndarray:
     """Read-only M-length table H_b(xi) = sum_tau <tau - xi^3>^{2b} |G(tau, xi)|^2.
 

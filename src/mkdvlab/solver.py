@@ -45,13 +45,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .norms import SpaceTimeField
+from .norms import SpaceTimeField, _check_window
 from .spectral import (
     Field,
     GridSpec,
     _fft_kernel,
     _ifft_kernel,
-    _is_pow2,
     _scaled_squares,
     derivative,
     require_zero_offset,
@@ -283,9 +282,9 @@ def evolve(
     """Evolve f0 to t_final in whole steps of cfg.dt.
 
     With ``record_every`` = R the trajectory holds snapshots at t = 0, R dt,
-    ..., T - R dt; their count n_steps / R must be a power of two so the
-    trajectory is directly usable by the space-time norms.  Without it only
-    the terminal state is kept.
+    ..., T - R dt; T must be positive and their count n_steps / R a power of
+    two so the trajectory is directly usable by the space-time norms.
+    Without it only the terminal state is kept.
     """
     grid = f0.grid
     n_steps = _step_count(t_final, cfg.dt)
@@ -296,11 +295,8 @@ def evolve(
                 f"record_every = {record_every} must divide the {n_steps} steps"
             )
         n_rec = n_steps // record_every
-        if not _is_pow2(n_rec):
-            raise ValueError(
-                f"snapshot count {n_rec} must be a power of two (>= 2); "
-                f"adjust record_every"
-            )
+        # the trajectory's checks on its count and window [0, T), made before the first step
+        _check_window(t_final, n_rec)
         snapshots = np.empty((n_rec, grid.points), dtype=np.complex128)
     ws = _Workspace(grid, cfg)
     a = np.fft.fft(f0.values)

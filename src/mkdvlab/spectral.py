@@ -68,7 +68,8 @@ class OffsetGridError(ValueError):
 
 
 def _is_pow2(m: int) -> bool:
-    return m >= 2 and (m & (m - 1)) == 0
+    """True for an integer m >= 2 that is a power of two; False for a float such as 256.0."""
+    return isinstance(m, (int, np.integer)) and m >= 2 and (m & (m - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -312,7 +313,7 @@ def littlewood_paley(f: Field, n_dyadic: float) -> Field:
     band-limited fields are reconstructed by summing the pieces.
     """
     k = np.log2(n_dyadic)
-    if n_dyadic < 1 or abs(k - round(k)) > 1e-12:
+    if not 1 <= n_dyadic < math.inf or abs(k - round(k)) > 1e-12:  # refuses nan and inf too
         raise ValueError(f"projector scale must be dyadic >= 1, got {n_dyadic}")
     top = abs(f.grid.xi0) + f.grid.xi_nyquist
     if n_dyadic > top:

@@ -521,6 +521,7 @@ class TestConfigErrors:
             ("illposed", ILLPOSED + "N_min=inf\nN_max=inf\n", []),
             ("illposed", ILLPOSED + "N_min=0\nN_max=128\n", []),
             ("solve", SOLITON_SOLVE.replace("t_final=0.02", "t_final=inf"), []),
+            ("solve", SOLITON_SOLVE.replace("t_final=0.02\ndt=0.00125", "t_final=-0.02\ndt=-0.00125"), []),
             ("norms", "field={tmp}/sech.bin\ns=nan\np=2\n", []),
             ("norms", "field={tmp}/sech.bin\ns=0\np=nan\n", []),
             ("probe", "probes=trilinear\ncorpus_seed=-1\n", []),
@@ -530,7 +531,7 @@ class TestConfigErrors:
             ("solve", RANDOM_SOLVE.format(max_xi=-1), []),
         ],
         ids=[
-            "soliton-without-carrier", "missing-file", "N-inf", "N-zero", "t_final-inf",
+            "soliton-without-carrier", "missing-file", "N-inf", "N-zero", "t_final-inf", "t_final-negative",
             "norms-s-nan", "norms-p-nan", "corpus_seed-negative", "unknown-probe",
             "seed-negative", "max_xi-zero", "max_xi-negative",
         ],

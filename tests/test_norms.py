@@ -627,25 +627,29 @@ class TestCachedTables:
                 assert xsb_p_norm(u, 0.25, b, p) == xsb_p_norm_uncached(u, 0.25, b, p)
 
     def test_probe_corpus_tables_stay_resident(self, monkeypatch):
-        # every table a run of the corpus families asks for is built once:
-        # the set (phases for K = 256, 1024, the numerators' weight, columns
-        # for two b) fits the budget; a column table keeps no weight
+        # a run of the corpus families asks for each table in one unbroken run
+        # of requests, so keeping the last table of each kind builds each one
+        # once (phases for K = 256, 1024, the numerators' weight, columns for
+        # two b); a column table keeps no weight
         from mkdvlab import probes
 
         g = probes.CORPUS_GRID
         expected = {
-            norms._airy_phases: {(g, 1.0, 256), (g, 1.0, 1024)},
-            norms._modulation_weight: {(g, 1.0, 1024, -0.48)},
-            norms._column_table: {(g, 1.0, 256, 0.55), (g, 1.0, 1024, 0.51)},
+            norms._airy_phases: [(g, 1.0, 256), (g, 1.0, 1024)],
+            norms._modulation_weight: [(g, 1.0, 1024, -0.48)],
+            norms._column_table: [(g, 1.0, 256, 0.55), (g, 1.0, 1024, 0.51)],
         }
-        requested = {}
+        requested, builds = {}, {}
         for name in ("_airy_phases", "_modulation_weight", "_column_table"):
             cache = getattr(norms, name)
             cache.tables.clear()
             keys = requested[cache] = []
+            built = builds[cache] = []
 
-            def recording(*key, cache=cache, keys=keys):
+            def recording(*key, cache=cache, keys=keys, built=built):
                 keys.append(key)
+                if key not in cache.tables:
+                    built.append(key)
                 return cache(*key)
 
             for module in (norms, probes):
@@ -656,7 +660,21 @@ class TestCachedTables:
         )
         for cache, keys in requested.items():
             assert len(keys) > len(set(keys))
-            assert set(keys) == expected[cache] == set(cache.tables)
+            assert builds[cache] == expected[cache]
+            assert list(cache.tables) == expected[cache][-1:]
+
+    @pytest.mark.parametrize("call", [
+        lambda f: free_evolution(f, 1.0, 100),
+        lambda f: free_evolution(f, -1.0, 256),
+        lambda f: probes.trilinear_ratio(f, f, f, 0.25, 4.0, n_times=100),
+    ], ids=["free_evolution-K", "free_evolution-T_w", "trilinear_ratio-K"])
+    def test_refused_window_keeps_the_kept_phase_table(self, call):
+        f = probes.make_probe_corpus(size=1)[0]
+        kept = norms._airy_phases(f.grid, 1.0, 256)
+        with pytest.raises(ValueError, match="power of two|positive and finite"):
+            call(f)
+        assert list(norms._airy_phases.tables) == [(f.grid, 1.0, 256)]
+        assert norms._airy_phases.tables[(f.grid, 1.0, 256)] is kept
 
     def test_retention_within_budget_after_large_trilinear_grids(self):
         # M = 512, K = 1024 and M = 1024, K = 2048: tables of 4 to 32 MiB
@@ -704,27 +722,19 @@ class TestCachedTables:
 
 
 class TestPhaseTables:
-    @pytest.mark.parametrize("t_window", [1.0, 0.3])
-    def test_coarser_windows_are_views_of_the_finer_table(self, st_grid, t_window):
-        tables = norms._airy_phases.tables
-        tables.clear()
-        fine = norms._airy_phases(st_grid, t_window, 1024)
-        for k in (256, 512):
-            coarse = norms._airy_phases(st_grid, t_window, k)
-            assert np.shares_memory(coarse, fine)
-            assert np.array_equal(coarse, phases_longhand(st_grid, t_window, k))
-        assert norms._pinned_bytes(tables) == fine.nbytes
+    def test_match_longhand_requested_fine_first_and_coarse_first(self, st_grid):
+        for t_window in (1.0, 0.3):
+            for order in ((1024, 512, 256), (256, 512, 1024)):
+                for k in order:
+                    phases = norms._airy_phases(st_grid, t_window, k)
+                    assert np.array_equal(phases, phases_longhand(st_grid, t_window, k))
 
-    def test_finer_build_turns_cached_coarser_entries_into_views(self, st_grid):
-        tables = norms._airy_phases.tables
-        tables.clear()
-        for k in (256, 512):
-            norms._airy_phases(st_grid, 0.3, k)
-        fine = norms._airy_phases(st_grid, 0.3, 1024)
-        for k in (256, 512):
-            assert np.shares_memory(tables[(st_grid, 0.3, k)], fine)
-            assert np.array_equal(tables[(st_grid, 0.3, k)], phases_longhand(st_grid, 0.3, k))
-        assert norms._pinned_bytes(tables) == fine.nbytes
+    def test_a_new_key_that_fits_replaces_the_kept_table(self, st_grid):
+        first = norms._airy_phases(st_grid, 1.0, 256)
+        assert norms._airy_phases(st_grid, 1.0, 256) is first
+        second = norms._airy_phases(st_grid, 0.3, 256)
+        assert list(norms._airy_phases.tables) == [(st_grid, 0.3, 256)]
+        assert norms._airy_phases.tables[(st_grid, 0.3, 256)] is second
 
 
 class TestTableMemory:
@@ -738,10 +748,3 @@ class TestTableMemory:
         norms._airy_phases.tables.clear()
         phases, peak = traced_peak(lambda: norms._airy_phases(probes.CORPUS_GRID, 1.0, 1024))
         assert peak <= 1.05 * phases.nbytes
-
-    def test_coarser_window_after_finer_allocates_no_table(self):
-        g = probes.CORPUS_GRID
-        norms._airy_phases.tables.clear()
-        norms._airy_phases(g, 1.0, 1024)
-        coarse, peak = traced_peak(lambda: norms._airy_phases(g, 1.0, 256))
-        assert peak < coarse.nbytes / 100

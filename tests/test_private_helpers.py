@@ -1,4 +1,4 @@
-"""Every module-level private function or class of the package has a library caller."""
+"""Every module-level private function, class or assigned name of the package has a library reader."""
 
 import ast
 from pathlib import Path
@@ -9,20 +9,29 @@ PACKAGE = Path(mkdvlab.__file__).parent
 
 
 def _private_definitions_and_references():
-    """(module, name) of each top-level private def, and the names read in the package.
+    """(module, name) of each top-level private def or assignment, and the names read in the package.
 
     A name counts as read where it appears as a name or an attribute outside
-    the definition of that name; references from tests do not count.
+    the definition of that name (for an assignment, outside its target);
+    references from tests do not count.
     """
     definitions, references = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         own = {}
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")):
-                definitions.append((path.name, node.name))
-                own[node.name] = {id(inner) for inner in ast.walk(node)}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                named = [(node.name, node)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                named = [(t.id, t) for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name, owner in named:
+                if name.startswith("_") and not name.startswith("__"):
+                    definitions.append((path.name, name))
+                    own.setdefault(name, set()).update(id(inner) for inner in ast.walk(owner))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 name = node.id

@@ -167,6 +167,15 @@ class TestEvolve:
         with pytest.raises(ValueError, match="divide"):
             evolve(f0, 0.1, SolverConfig(dt=1e-3), record_every=7)
 
+    def test_recorded_run_refuses_a_negative_horizon_before_stepping(self, grid, monkeypatch):
+        # backward evolution records no trajectory: its window [0, T) would be empty
+        calls = []
+        rk4 = _Workspace.rk4
+        monkeypatch.setattr(_Workspace, "rk4", lambda ws, a: calls.append(1) or rk4(ws, a))
+        with pytest.raises(ValueError, match="positive and finite, got -0.1"):
+            evolve(small_random_field(grid), -0.1, SolverConfig(dt=-1e-3), record_every=25)
+        assert calls == []
+
     def test_rejects_incommensurate_horizon(self, grid):
         f0 = small_random_field(grid)
         with pytest.raises(ValueError, match="whole number"):

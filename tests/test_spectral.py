@@ -55,8 +55,10 @@ class TestGridSpec:
         assert grid.dxi <= 0.125
 
     def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError, match="power of two"):
-            GridSpec(length=128.0, points=1000)
+        for points in (1000, 256.0):
+            with pytest.raises(ValueError, match="power of two"):
+                GridSpec(length=128.0, points=points)
+        assert GridSpec(length=128.0, points=np.int64(256)) == GridSpec(length=128.0, points=256)
 
     def test_rejects_coarse_frequency_lattice(self):
         # L = 32 gives dxi = 2 pi / 32 > 1/8
@@ -220,8 +222,9 @@ class TestLittlewoodPaley:
             littlewood_paley(f, 64)
 
     def test_rejects_non_dyadic(self, small_grid):
-        with pytest.raises(ValueError, match="dyadic"):
-            littlewood_paley(Field.zero(small_grid), 3)
+        for n_dyadic in (3, np.inf, np.nan):
+            with pytest.raises(ValueError, match="dyadic"):
+                littlewood_paley(Field.zero(small_grid), n_dyadic)
 
 
 class TestUnitCubeWindows:
