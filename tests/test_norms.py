@@ -722,12 +722,24 @@ class TestCachedTables:
 
 
 class TestPhaseTables:
-    def test_match_longhand_requested_fine_first_and_coarse_first(self, st_grid):
+    # The first two names date from strided-view phase tables. Every window now
+    # has a table of its own: they check its values against the longhand, with
+    # the windows requested fine first and coarse first, and that the memo
+    # keeps only the last table, never a finer one behind a coarser window.
+
+    @pytest.mark.parametrize("t_window", [1.0, 0.3])
+    def test_coarser_windows_are_views_of_the_finer_table(self, st_grid, t_window):
+        for k in (1024, 512, 256):
+            phases = norms._airy_phases(st_grid, t_window, k)
+            assert np.array_equal(phases, phases_longhand(st_grid, t_window, k))
+        assert list(norms._airy_phases.tables) == [(st_grid, t_window, 256)]
+
+    def test_finer_build_turns_cached_coarser_entries_into_views(self, st_grid):
         for t_window in (1.0, 0.3):
-            for order in ((1024, 512, 256), (256, 512, 1024)):
-                for k in order:
-                    phases = norms._airy_phases(st_grid, t_window, k)
-                    assert np.array_equal(phases, phases_longhand(st_grid, t_window, k))
+            for k in (256, 512, 1024):
+                phases = norms._airy_phases(st_grid, t_window, k)
+                assert np.array_equal(phases, phases_longhand(st_grid, t_window, k))
+            assert list(norms._airy_phases.tables) == [(st_grid, t_window, 1024)]
 
     def test_a_new_key_that_fits_replaces_the_kept_table(self, st_grid):
         first = norms._airy_phases(st_grid, 1.0, 256)
