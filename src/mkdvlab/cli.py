@@ -42,6 +42,7 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
 _NUMBER = ("a finite number", float, math.isfinite)
 _POSITIVE = ("a positive number", float, lambda x: 0 < x < math.inf)
 _NUMBER_OR_INF = ("a number or inf", float, lambda x: x == math.inf or math.isfinite(x))
+_EXPONENT = ("a number >= 1 or inf", float, lambda x: x >= 1)
 _INTEGER = ("an integer", int, None)
 _BOOLEAN = ("true/false, yes/no, on/off or 1/0", lambda raw: _BOOLEANS[raw.lower()], None)
 _POWER_OF_TWO = ("a power of two", lambda raw: math.log2(float(raw)),
@@ -71,12 +72,12 @@ _SCHEMAS = {
         "amplitude": (_NUMBER, 0.5),
         "max_xi": (_POSITIVE, 6.0),
         "norm_s": (_NUMBER, 0.0),
-        "norm_p": (_NUMBER_OR_INF, 2.0),
+        "norm_p": (_EXPONENT, 2.0),
     },
     "illposed": {
         "s": (_NUMBER, _REQUIRED),
         "p": (_NUMBER_OR_INF, _REQUIRED),
-        "T": (_NUMBER, _REQUIRED),
+        "T": (_POSITIVE, _REQUIRED),
         "N_min": (_POWER_OF_TWO, _REQUIRED),
         "N_max": (_POWER_OF_TWO, _REQUIRED),
         "theta": (_NUMBER, _UNSET),
@@ -90,7 +91,7 @@ _SCHEMAS = {
     "norms": {
         "field": (_FILE, _REQUIRED),
         "s": (_NUMBER, _REQUIRED),
-        "p": (_NUMBER_OR_INF, _REQUIRED),
+        "p": (_EXPONENT, _REQUIRED),
     },
 }
 
@@ -288,8 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="flat key=value config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="seed for random data")
-        p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
+        if name != "norms":  # norms draws no random data and writes no seed
+            p.add_argument("--seed", type=int, default=None, help="seed for random data")
+    sub.choices["illposed"].add_argument("--jobs", type=int, default=1, help="sweep workers")
     return parser
 
 
@@ -297,9 +299,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     out = Path(args.out)
     try:
-        if args.jobs < 1:
+        if "jobs" in args and args.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
-        if args.seed is not None and args.seed < 0:
+        if "seed" in args and args.seed is not None and args.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {args.seed}")
         out.mkdir(parents=True, exist_ok=True)
         cfg = read_config(Path(args.config))

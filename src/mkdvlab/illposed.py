@@ -17,7 +17,7 @@ grid pipeline and required to agree; a pair whose grid would exceed
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -323,7 +323,7 @@ def run_point(plan: ExperimentPlan, n: float) -> ExperimentRecord:
 
 
 def run_sweep(plan: ExperimentPlan, jobs: int = 1) -> list[ExperimentRecord]:
-    """All sweep points on min(jobs, carriers) processes (1: serially); ordered by carrier.
+    """All sweep points on min(jobs, carriers) processes (1: serially), in carrier order.
 
     The process pool is imported only for a parallel sweep: its import pulls
     in ``multiprocessing`` and ``socket``, about 2 MiB and 15 ms per process.
@@ -333,10 +333,8 @@ def run_sweep(plan: ExperimentPlan, jobs: int = 1) -> list[ExperimentRecord]:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_point, [plan] * len(plan.carriers), plan.carriers))
-    else:
-        records = [run_point(plan, n) for n in plan.carriers]
-    return sorted(records, key=lambda r: r.carrier)
+            return list(pool.map(run_point, [plan] * len(plan.carriers), plan.carriers))
+    return [run_point(plan, n) for n in plan.carriers]
 
 
 @dataclass(frozen=True)
@@ -385,7 +383,7 @@ class LemmaVerdict:
     tail_decay_rate: float
     tail_decay_ok: bool
     initial_bound_constant: float
-    thresholds: dict = field(default_factory=dict)
+    thresholds: dict
 
 
 def verify_lemma(records: list[ExperimentRecord], plan: ExperimentPlan) -> LemmaVerdict:

@@ -102,13 +102,10 @@ def write_csv(
             writer.writerow([_fmt(row.get(c)) for c in columns])
 
 
-def write_json(path: str | Path, payload: dict, meta: dict | None = None) -> None:
+def write_json(path: str | Path, payload: dict, meta: dict) -> None:
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    doc = dict(payload)
-    if meta:
-        doc["_meta"] = meta
-    p.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    p.write_text(json.dumps({**payload, "_meta": meta}, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -86,10 +86,15 @@ _TABLE_CACHE_BYTES = 8 * 2**20
 _PRODUCT_ROWS = 64
 
 
-def _lp(values: np.ndarray, p: float) -> float:
-    """l^p aggregation, sup for p = inf; values are nonnegative."""
+def _check_exponent(p: float) -> None:
+    """Refuse an l^p exponent below 1."""
     if not p >= 1:  # written so that nan is refused too
         raise ValueError(f"p must satisfy p >= 1, got {p}")
+
+
+def _lp(values: np.ndarray, p: float) -> float:
+    """l^p aggregation, sup for p = inf; values are nonnegative."""
+    _check_exponent(p)
     if math.isinf(p):
         return float(np.max(values)) if values.size else 0.0
     # scale out the peak so large p does not underflow

@@ -28,6 +28,7 @@ import numpy as np
 
 from .io import ConfigError
 from .norms import (
+    _check_exponent,
     _cube_lp,
     _free_product,
     _free_tau_sums,
@@ -97,8 +98,8 @@ class ProbeReport:
     corpus_size: int
     max_ratio: float
     argmax: str
-    calibration: float | None = None
-    within_calibration: bool | None = None
+    calibration: float | None
+    within_calibration: bool | None
     caveats: tuple[str, ...] = (REPRESENTATIVE_CAVEAT,)
     extra: dict = field(default_factory=dict)
 
@@ -144,14 +145,14 @@ def _st_l2(samples: np.ndarray, grid: GridSpec, dt: float) -> float:
     return math.ldexp(float(np.sqrt(np.sum(a2) * grid.dx * dt)), e)
 
 
-def _bilinear_ratio(pu: Field, pv: Field, eps: float, divisor: float) -> float:
-    """||U V||_{L^2_{x,t}} of the free evolutions against X^{0,1/2+eps} norms / divisor."""
+def _bilinear_ratio(pu: Field, pv: Field, divisor: float) -> float:
+    """||U V||_{L^2_{x,t}} of the free evolutions against X^{0,1/2+0.05} norms / divisor."""
     require_same_grid(pu, pv)
     g, k, t_w = pu.grid, CORPUS_N_TIMES, CORPUS_T_WINDOW
     cu, cv = _coefficients(pu.values, g), _coefficients(pv.values, g)
     product = _free_product((cu, cv), g, t_w, _window_taper(t_w, k))
     num = _st_l2(product, g, t_w / k)
-    du, dv = (_xi_l2(*_free_tau_sums(c, g, t_w, k, 0.5 + eps), g, t_w, 0.0) for c in (cu, cv))
+    du, dv = (_xi_l2(*_free_tau_sums(c, g, t_w, k, 0.5 + 0.05), g, t_w, 0.0) for c in (cu, cv))
     den = du * dv / divisor
     return 0.0 if den == 0.0 else num / den
 
@@ -162,14 +163,14 @@ def bilinear_ratio_cube(u: Field, v: Field, m: int, n: int) -> float:
         raise ValueError(f"cube pair needs |m+n|, |m-n| >= 2, got m={m}, n={n}")
     pu = unit_cube_project(u, m)
     pv = unit_cube_project(v, n)
-    return _bilinear_ratio(pu, pv, 0.05, math.sqrt(abs(m + n) * abs(m - n)))
+    return _bilinear_ratio(pu, pv, math.sqrt(abs(m + n) * abs(m - n)))
 
 
-def bilinear_ratio_lp(u: Field, v: Field, n1: float, n2: float, eps: float = 0.05) -> float:
-    """||P_{N1} U P_{N2} V||_{L^2_{x,t}} against the N1^{-1}-weighted bound."""
+def bilinear_ratio_lp(u: Field, v: Field, n1: float, n2: float) -> float:
+    """||P_{N1} U P_{N2} V||_{L^2_{x,t}} against the N1^{-1}-weighted bound, eps = 0.05."""
     if n1 < 4 * n2:
         raise ValueError(f"separated dyadics required: N1 >= 4 N2, got {n1}, {n2}")
-    return _bilinear_ratio(littlewood_paley(u, n1), littlewood_paley(v, n2), eps, n1)
+    return _bilinear_ratio(littlewood_paley(u, n1), littlewood_paley(v, n2), n1)
 
 
 def trilinear_ratio(
@@ -241,8 +242,7 @@ def convolution_inequality_check(
         raise ValueError("sequences must be nonnegative")
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if not p >= 1:
-        raise ValueError(f"p must satisfy p >= 1, got {p}")
+    _check_exponent(p)
     if c_eps is None:
         c_eps = float(load_calibration()["constants"]["convolution"])
     m_idx = n0_a + np.arange(a.size)
@@ -273,6 +273,7 @@ def apriori_tracking(
     n_snapshots: int = 32,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Modulation norm along the nonlinear evolution: (times, norms)."""
+    _check_exponent(p)
     if n_snapshots < 1:
         raise ValueError(f"n_snapshots must be at least 1, got {n_snapshots}")
     if not _is_pow2(n_snapshots):
@@ -478,7 +479,7 @@ def calibrate() -> dict:
 
 
 def run_probe_suite(
-    selected: list[str] | None = None,
+    selected: list[str],
     corpus_seed: int | None = None,
     corpus_size: int | None = None,
 ) -> list[ProbeReport]:
@@ -498,14 +499,13 @@ def run_probe_suite(
     cal = load_calibration()
     frozen = (corpus_seed in (None, CORPUS_SEED)) and (corpus_size in (None, CORPUS_SIZE))
     available = ["resonance", *(n for n in _FAMILIES if n != "xsb_free_evolution")]
-    names = available if selected is None else selected
-    unknown = set(names) - set(available)
+    unknown = set(selected) - set(available)
     if unknown:
         raise ConfigError(f"unknown probes: {sorted(unknown)}; available: {available}")
     size = CORPUS_SIZE if corpus_size is None else corpus_size
     if size < 1:
         raise ConfigError(f"corpus_size must be >= 1, got {size}")
-    needs_corpus = set(names) - {"resonance"}
+    needs_corpus = set(selected) - {"resonance"}
     layout = _layout(size)
     for name in sorted(needs_corpus & layout.keys()):
         if not layout[name]:
@@ -522,10 +522,10 @@ def run_probe_suite(
                 "frozen corpus hash mismatch; calibration constants do not apply"
             )
         measured = _measure(fields, needs_corpus)
-    if "resonance" in names:
+    if "resonance" in selected:
         dev = resonance_max_deviation()
     reports: list[ProbeReport] = []
-    for name in names:
+    for name in selected:
         if name == "resonance":
             reports.append(
                 ProbeReport(

@@ -257,7 +257,7 @@ class EvolveResult:
     """Terminal state u(T) and, when recorded, the trajectory of snapshots."""
 
     final: Field
-    trajectory: SpaceTimeField | None = None
+    trajectory: SpaceTimeField | None
 
 
 def _step_count(t_final: float, dt: float) -> int:

@@ -312,8 +312,8 @@ def littlewood_paley(f: Field, n_dyadic: float) -> Field:
     The masks over N = 1, 2, 4, ... tile the band |xi| <= N_max exactly, so
     band-limited fields are reconstructed by summing the pieces.
     """
-    k = np.log2(n_dyadic)
-    if not 1 <= n_dyadic < math.inf or abs(k - round(k)) > 1e-12:  # refuses nan and inf too
+    # the range test comes first, as log2 warns at N <= 0; it refuses nan and inf too
+    if not 1 <= n_dyadic < math.inf or abs((k := np.log2(n_dyadic)) - round(k)) > 1e-12:
         raise ValueError(f"projector scale must be dyadic >= 1, got {n_dyadic}")
     top = abs(f.grid.xi0) + f.grid.xi_nyquist
     if n_dyadic > top:

@@ -529,11 +529,16 @@ class TestConfigErrors:
             ("solve", SOLITON_SOLVE, ["--seed", "-1"]),
             ("solve", RANDOM_SOLVE.format(max_xi=0), []),
             ("solve", RANDOM_SOLVE.format(max_xi=-1), []),
+            ("solve", SOLITON_SOLVE + "norm_p=0.5\n", []),
+            ("norms", "field={tmp}/sech.bin\ns=0\np=0.5\n", []),
+            ("illposed", ILLPOSED.replace("T=1.0", "T=0") + "N_min=16\nN_max=128\n", []),
+            ("illposed", ILLPOSED.replace("T=1.0", "T=-1") + "N_min=16\nN_max=128\n", []),
         ],
         ids=[
             "soliton-without-carrier", "missing-file", "N-inf", "N-zero", "t_final-inf", "t_final-negative",
             "norms-s-nan", "norms-p-nan", "corpus_seed-negative", "unknown-probe",
-            "seed-negative", "max_xi-zero", "max_xi-negative",
+            "seed-negative", "max_xi-zero", "max_xi-negative", "norm_p-below-one",
+            "norms-p-below-one", "T-zero", "T-negative",
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, command, text, flags):
@@ -570,3 +575,26 @@ class TestConfigErrors:
         for command, key in re.findall(r"^\| `(\w+)` \| `(\w+)` \|", readme, re.M):
             listed.setdefault(command, set()).add(key)
         assert listed == {command: set(schema) for command, schema in cli._SCHEMAS.items()}
+
+    def test_readme_lists_every_flag_each_subcommand_takes(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        listed = {
+            command: set(re.findall(r"--\w+", usage))
+            for command, usage in re.findall(r"^mkdvlab (\w+) +(.*?)#", readme, re.M)
+        }
+        assert set(listed) == set(cli._SCHEMAS)
+        every = set().union(*listed.values())
+        for command, flags in listed.items():
+            # an unknown flag is handed back among the unparsed arguments
+            _, unparsed = cli.build_parser().parse_known_args(
+                [command, *(arg for flag in sorted(every) for arg in (flag, "1"))]
+            )
+            assert every - set(unparsed) == flags, command
+
+    @pytest.mark.parametrize("command, flag", [("solve", "--jobs"), ("norms", "--seed")])
+    def test_flag_the_subcommand_does_not_read_exits_2(self, tmp_path, command, flag):
+        cfg = write_cfg(tmp_path, "c.cfg", "")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--out", str(tmp_path / "out"), flag, "1"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()

@@ -26,7 +26,7 @@ from mkdvlab.probes import (
     _band_limit,
 )
 from mkdvlab.solitons import SolitonParams, soliton_field
-from mkdvlab.solver import SolverConfig
+from mkdvlab.solver import SolverConfig, _Workspace
 from mkdvlab.spectral import (
     Field,
     GridMismatchError,
@@ -129,7 +129,7 @@ class TestBilinearRatios:
         u = inverse_transform(SpectralField(grid, c1))
         v = inverse_transform(SpectralField(grid, c2))
         eps, n_times, t_window = 0.05, 256, 1.0
-        got = bilinear_ratio_lp(u, v, 8.0, 1.0, eps=eps)
+        got = bilinear_ratio_lp(u, v, 8.0, 1.0)
 
         # longhand: amplitudes of the modes in physical space
         amp1 = abs(c1[k1]) / grid.length  # u = (c/L) e^{i xi1 x} under the dx-weighted DFT
@@ -549,6 +549,16 @@ class TestAprioriTracking:
             apriori_tracking(
                 Field.zero(grid), 0.125, 4.0, 0.04, SolverConfig(dt=1e-3), n_snapshots
             )
+
+    @pytest.mark.parametrize("p", [0.5, np.nan])
+    def test_rejects_p_below_one_before_stepping(self, monkeypatch, p):
+        calls = []
+        rk4 = _Workspace.rk4
+        monkeypatch.setattr(_Workspace, "rk4", lambda ws, a: calls.append(1) or rk4(ws, a))
+        grid = GridSpec(length=64.0, points=256)
+        with pytest.raises(ValueError, match="p must satisfy p >= 1"):
+            apriori_tracking(Field.zero(grid), 0.125, p, 0.1, SolverConfig(dt=1e-3), 4)
+        assert calls == []
 
     # 1 and 6 each divide the 12 steps; the solver would name record_every
     @pytest.mark.parametrize("n_snapshots", [1, 6])
