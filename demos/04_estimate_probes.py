@@ -36,7 +36,7 @@ print("\ndiscrete convolution inequality, block sequences a = b = 1 on [1, K]:")
 c_eps = load_calibration()["constants"]["convolution"]
 for k in (128, 1024):
     a = np.ones(k)
-    lhs, bound = convolution_inequality_check(a, a, eps=0.1, p=2.0, n0_a=1, n0_b=1)
+    lhs, bound = convolution_inequality_check(a, a, eps=0.1, p=2.0, c_eps=c_eps, n0_a=1, n0_b=1)
     print(f"  K = {k:5d}: lhs = {lhs:10.2f}  <=  C ||a|| ||b|| = {bound:10.2f}"
           f"   (C = {c_eps:.3f})")
 

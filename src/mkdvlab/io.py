@@ -33,10 +33,6 @@ __all__ = [
     "read_trajectory",
 ]
 
-_FIELD_MAGIC = b"MKDVFLD1"
-_TRAJ_MAGIC = b"MKDVTRJ1"
-
-
 class ConfigError(ValueError):
     """Malformed or missing configuration."""
 
@@ -88,13 +84,13 @@ def write_csv(
     path: str | Path,
     columns: list[str],
     rows: list[dict],
-    header: dict[str, str] | None = None,
+    header: dict[str, str],
 ) -> None:
     """RFC-4180-style CSV preceded by '#'-comment header lines."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     with open(p, "w", newline="") as fh:
-        for key, value in (header or {}).items():
+        for key, value in header.items():
             fh.write(f"# {key}={value}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -112,86 +108,86 @@ def write_json(path: str | Path, payload: dict, meta: dict) -> None:
 # Binary snapshots (fixed little-endian layout)
 # ---------------------------------------------------------------------------
 
-def write_field(path: str | Path, field: Field) -> None:
-    """One spatial snapshot: magic, L (f8), M (i8), then complex128 samples."""
-    require_zero_offset(field.grid, "write_field (the snapshot header has no offset)")
+# Each snapshot kind: its magic, the names of its header fields in file order
+# and their packed layout.  The samples follow the header, complex128, in the
+# shape its counts give: (M,) for a field, (K, M) for a trajectory.
+_SNAPSHOTS = {
+    "field": (b"MKDVFLD1", ("L", "M"), struct.Struct("<dq")),
+    "trajectory": (b"MKDVTRJ1", ("L", "M", "K", "dt", "sign", "T_w"), struct.Struct("<dqqdbd")),
+}
+_SAMPLE = np.dtype("<c16")
+
+
+def _write_snapshot(path: str | Path, kind: str, grid: GridSpec, samples, *rest) -> None:
+    """Magic, header (L and M from ``grid``, then ``rest``), then the samples."""
+    magic, _, layout = _SNAPSHOTS[kind]
+    require_zero_offset(grid, f"write_{kind} (the snapshot header has no offset)")
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     with open(p, "wb") as fh:
-        fh.write(_FIELD_MAGIC)
-        fh.write(struct.pack("<dq", field.grid.length, field.grid.points))
-        fh.write(np.ascontiguousarray(field.values, dtype="<c16").tobytes())
+        fh.write(magic)
+        fh.write(layout.pack(grid.length, grid.points, *rest))
+        fh.write(np.ascontiguousarray(samples, dtype=_SAMPLE).tobytes())
 
 
-def _read_exact(fh, path, size: int, what: str) -> bytes:
-    raw = fh.read(size)
+def _read_snapshot(path: str | Path, kind: str, build):
+    """``build(header, samples)`` of a ``kind`` snapshot; a ValueError names the file."""
+    magic, names, layout = _SNAPSHOTS[kind]
+    with open(path, "rb") as fh:
+        found = fh.read(len(magic))
+        if found != magic:
+            raise SnapshotError(f"{path}: not a {kind} snapshot (bad magic {found!r})")
+        raw = fh.read(layout.size)
+        if len(raw) != layout.size:
+            raise SnapshotError(
+                f"{path}: truncated {kind} header ({len(raw)} of {layout.size} bytes)"
+            )
+        header = dict(zip(names, layout.unpack(raw)))
+        counts = {name: header[name] for name in ("K", "M") if name in header}
+        for name, value in counts.items():
+            if value < 0:
+                raise SnapshotError(f"{path}: negative {kind} header count {name} = {value}")
+        count = math.prod(counts.values())
+        raw = fh.read()
+    size = count * _SAMPLE.itemsize
     if len(raw) != size:
-        raise SnapshotError(f"{path}: truncated {what} ({len(raw)} of {size} bytes)")
-    return raw
-
-
-def _read_samples(fh, path, count: int) -> np.ndarray:
-    """The rest of the file as exactly ``count`` complex128 samples."""
-    raw = fh.read()
-    if count < 0 or len(raw) != 16 * count:
         raise SnapshotError(
-            f"{path}: expected {count} samples ({16 * count} bytes), found {len(raw)} bytes"
+            f"{path}: expected {count} samples ({size} bytes), found {len(raw)} bytes"
         )
-    return np.frombuffer(raw, dtype="<c16")
+    try:
+        return build(header, np.frombuffer(raw, dtype=_SAMPLE).reshape(*counts.values()))
+    except ValueError as exc:
+        raise SnapshotError(f"{path}: {exc}") from exc
+
+
+def write_field(path: str | Path, field: Field) -> None:
+    """One spatial snapshot: magic, L (f8), M (i8), then complex128 samples."""
+    _write_snapshot(path, "field", field.grid, field.values)
 
 
 def read_field(path: str | Path) -> Field:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _FIELD_MAGIC:
-            raise SnapshotError(f"{path}: not a field snapshot (bad magic {magic!r})")
-        length, points = struct.unpack("<dq", _read_exact(fh, path, 16, "field header"))
-        data = _read_samples(fh, path, points)
-    try:
-        return Field(GridSpec(length=length, points=points), data)
-    except ValueError as exc:
-        raise SnapshotError(f"{path}: {exc}") from exc
+    return _read_snapshot(
+        path, "field", lambda h, samples: Field(GridSpec(length=h["L"], points=h["M"]), samples)
+    )
 
 
 def write_trajectory(
     path: str | Path, traj: SpaceTimeField, dt: float, sign: int
 ) -> None:
-    """Trajectory snapshot: magic, L (f8), M (i8), K (i8), dt (f8), sign (b)."""
-    require_zero_offset(traj.grid, "write_trajectory (the snapshot header has no offset)")
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "wb") as fh:
-        fh.write(_TRAJ_MAGIC)
-        fh.write(
-            struct.pack(
-                "<dqqdb",
-                traj.grid.length,
-                traj.grid.points,
-                traj.n_times,
-                dt,
-                sign,
-            )
+    """Trajectory snapshot: magic, L (f8), M (i8), K (i8), dt (f8), sign (b), T_w (f8)."""
+    _write_snapshot(
+        path, "trajectory", traj.grid, traj.samples, traj.n_times, dt, sign, traj.t_window
+    )
+
+
+def _trajectory(h: dict, samples: np.ndarray) -> tuple[SpaceTimeField, float, int]:
+    dt, sign = h["dt"], h["sign"]
+    if not (math.isfinite(dt) and dt != 0.0) or sign not in (-1, 1):
+        raise ValueError(
+            f"header needs a finite nonzero dt and sign +-1, got dt={dt!r}, sign={sign}"
         )
-        fh.write(struct.pack("<d", traj.t_window))
-        fh.write(np.ascontiguousarray(traj.samples, dtype="<c16").tobytes())
+    return SpaceTimeField(GridSpec(length=h["L"], points=h["M"]), h["T_w"], samples), dt, sign
 
 
 def read_trajectory(path: str | Path) -> tuple[SpaceTimeField, float, int]:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _TRAJ_MAGIC:
-            raise SnapshotError(f"{path}: not a trajectory snapshot (bad magic {magic!r})")
-        length, points, k, dt, sign, t_window = struct.unpack(
-            "<dqqdbd", _read_exact(fh, path, 41, "trajectory header")
-        )
-        data = _read_samples(fh, path, k * points if min(k, points) >= 0 else -1)
-    if not (math.isfinite(dt) and dt != 0.0) or sign not in (-1, 1):
-        raise SnapshotError(
-            f"{path}: header needs a finite nonzero dt and sign +-1, got dt={dt!r}, sign={sign}"
-        )
-    samples = data.reshape(k, points)
-    try:
-        traj = SpaceTimeField(GridSpec(length=length, points=points), t_window, samples)
-    except ValueError as exc:
-        raise SnapshotError(f"{path}: {exc}") from exc
-    return traj, dt, sign
+    return _read_snapshot(path, "trajectory", _trajectory)

@@ -226,25 +226,25 @@ def convolution_inequality_check(
     b: np.ndarray,
     eps: float,
     p: float,
-    c_eps: float | None = None,
+    c_eps: float,
     n0_a: int = 0,
     n0_b: int = 0,
 ) -> tuple[float, float]:
     """Exact double sum sum_{m != n} a_m b_n / (|m-n| <n>^eps) vs C_eps ||a||_p ||b||_p'.
 
-    Sequences are nonnegative with finite support; n0_* give the integer index
-    of the first entry.  p >= 1, and p' is its dual exponent (1 at p = inf).
-    Returns (lhs, rhs_bound).
+    Sequences are finite and nonnegative with finite support; n0_* give the
+    integer index of the first entry.  p >= 1, and p' is its dual exponent
+    (1 at p = inf).  c_eps is positive and finite.  Returns (lhs, rhs_bound).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if np.any(a < 0) or np.any(b < 0):
-        raise ValueError("sequences must be nonnegative")
+    if not all(np.all((x >= 0) & (x < math.inf)) for x in (a, b)):
+        raise ValueError("sequences must be finite and nonnegative")
     if not eps > 0:
         raise ValueError("eps must be positive")
     _check_exponent(p)
-    if c_eps is None:
-        c_eps = float(load_calibration()["constants"]["convolution"])
+    if not 0.0 < c_eps < math.inf:
+        raise ValueError(f"c_eps must be positive and finite, got {c_eps!r}")
     m_idx = n0_a + np.arange(a.size)
     n_idx = n0_b + np.arange(b.size)
     weight_b = b / np.sqrt(1.0 + n_idx.astype(float) ** 2) ** eps

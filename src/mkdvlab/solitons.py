@@ -252,10 +252,8 @@ def cube_window_quadrature(modsq_fn, n_values: np.ndarray) -> np.ndarray:
         else:
             prev = cur
         order *= 2
-    idx = np.nonzero(pending)[0]
-    vals[idx] = prev
     raise RuntimeError(
-        f"cube quadrature failed to converge for cubes {n_values[idx][:5]}..."
+        f"cube quadrature failed to converge for cubes {n_values[pending][:5]}..."
     )
 
 

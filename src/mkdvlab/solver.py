@@ -124,7 +124,6 @@ class _Workspace:
 
     def __init__(self, grid: GridSpec, cfg: SolverConfig):
         require_zero_offset(grid, "the solver (its padded derivative and dealias band assume xi0 = 0)")
-        self.grid = grid
         self.dt = dt = cfg.dt
         m = grid.points
         self.m = m

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from mkdvlab import cli, solitons
+from mkdvlab import io as mkdv_io
 from mkdvlab.cli import main
 from mkdvlab.io import (
     ConfigError,
@@ -60,7 +61,7 @@ class TestConfig:
 class TestCsv:
     def test_numpy_floats_written_as_plain_float_reprs(self, tmp_path):
         path = tmp_path / "v.csv"
-        write_csv(path, ["a", "b", "c"], [{"a": np.float64(1.5), "b": np.float32(0.1), "c": 0.25}])
+        write_csv(path, ["a", "b", "c"], [{"a": np.float64(1.5), "b": np.float32(0.1), "c": 0.25}], {})
         assert path.read_text().splitlines()[-1] == f"1.5,{float(np.float32(0.1))!r},0.25"
 
 
@@ -156,6 +157,43 @@ class TestSnapshots:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(SnapshotError, match="expected 128 samples"):
             read_field(path)
+
+    @pytest.mark.parametrize(
+        "reader, head, n_samples, named",
+        [
+            (read_field, b"MKDVFLD1" + struct.pack("<dq", 64.0, -5), 0, "M = -5"),
+            (read_trajectory, b"MKDVTRJ1" + struct.pack("<dqqdbd", 64.0, -128, 2, 1e-3, 1, 0.5), 0,
+             "M = -128"),
+            (read_trajectory, b"MKDVTRJ1" + struct.pack("<dqqdbd", 64.0, 128, -1, 1e-3, 1, 0.5), 0,
+             "K = -1"),
+            # two negative counts whose product matches the sample block
+            (read_trajectory, b"MKDVTRJ1" + struct.pack("<dqqdbd", 64.0, -128, -1, 1e-3, 1, 0.5), 128,
+             "K = -1"),
+        ],
+        ids=["field-M", "trajectory-M", "trajectory-K", "trajectory-K-and-M"],
+    )
+    def test_negative_header_count_is_named(self, tmp_path, reader, head, n_samples, named):
+        path = tmp_path / "neg.bin"
+        path.write_bytes(head + bytes(16 * n_samples))
+        with pytest.raises(SnapshotError, match=f"neg.bin: negative .*header count {named}$"):
+            reader(path)
+
+    def test_readme_output_schemas_match_the_snapshot_layouts(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        codes = {"f8": "d", "i8": "q", "i1": "b"}
+        listed = {
+            name: (magic, re.findall(r"`(\w+)` (f8|i8|i1)", fields))
+            for name, magic, fields in re.findall(
+                r"`(\w+)\.bin` \((?:header: )?magic\s+`(\w+)`,(.*?)then", readme, re.S
+            )
+        }
+        assert set(listed) == {"trajectory", "final_state"}
+        for name, kind in [("trajectory", "trajectory"), ("final_state", "field")]:
+            magic, fields = listed[name]
+            want_magic, want_names, want_header = mkdv_io._SNAPSHOTS[kind]
+            assert magic.encode() == want_magic, name
+            assert tuple(field for field, _ in fields) == want_names, name
+            assert "<" + "".join(codes[code] for _, code in fields) == want_header.format, name
 
 
 def write_cfg(tmp_path, name, text):

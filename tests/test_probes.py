@@ -433,7 +433,7 @@ class TestConvolutionInequality:
         for k in (128, 512, 1024, 2048):
             a = np.ones(k)
             lhs, bound = convolution_inequality_check(
-                a, a, eps=0.1, p=2.0, n0_a=1, n0_b=1
+                a, a, eps=0.1, p=2.0, c_eps=c, n0_a=1, n0_b=1
             )
             assert lhs <= bound
             ratio = lhs / k  # ||a||_2 ||b||_2 = K
@@ -492,9 +492,22 @@ class TestConvolutionInequality:
                 convolution_inequality_check(a, b, eps=0.1, p=p, c_eps=1.0)
 
     def test_rejects_negative_sequences(self):
-        with pytest.raises(ValueError, match="nonnegative"):
+        # nan and inf would pass a sign test alone and give a nan bound
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="nonnegative"):
+                convolution_inequality_check(
+                    np.array([bad, 2.0]), np.array([1.0]), 0.1, 2.0, c_eps=1.0
+                )
+            with pytest.raises(ValueError, match="nonnegative"):
+                convolution_inequality_check(
+                    np.array([1.0]), np.array([2.0, bad]), 0.1, 2.0, c_eps=1.0
+                )
+
+    @pytest.mark.parametrize("c_eps", [np.nan, 0.0, -1.0, np.inf])
+    def test_rejects_c_eps_that_is_not_positive_and_finite(self, c_eps):
+        with pytest.raises(ValueError, match="c_eps must be positive and finite"):
             convolution_inequality_check(
-                np.array([-1.0, 2.0]), np.array([1.0]), 0.1, 2.0, c_eps=1.0
+                np.array([1.0, 2.0]), np.array([1.0]), 0.1, 2.0, c_eps=c_eps
             )
 
 
